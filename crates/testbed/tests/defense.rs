@@ -25,8 +25,11 @@ use hb_imd::therapy::TherapyParams;
 use hb_testbed::defense::{run_defended_exchange, Defense, DefenseStats, ShieldDefense, DEFENSES};
 use hb_testbed::experiments::relay_one_exchange;
 use hb_testbed::montecarlo::{self, McConfig};
-use hb_testbed::scenario::{ImdModel, Scenario, ScenarioBuilder, ScenarioConfig};
+use hb_testbed::scenario::ScenarioBuilder;
 use proptest::prelude::*;
+
+mod common;
+use common::{defended_config, exchange_fingerprint, fingerprint_of, Fingerprint};
 
 /// The statistical tests honor `HB_TEST_SEED` (CI sweeps it).
 fn test_seed(default: u64) -> u64 {
@@ -34,70 +37,6 @@ fn test_seed(default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Paper config with the usual model alternation and the defense's edits.
-fn defended_config(defense: &dyn Defense, seed: u64) -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
-    defense.configure(&mut cfg);
-    cfg
-}
-
-/// Everything observable about one defended exchange, in comparable form.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    tx: Vec<(u64, Vec<u8>, Vec<u8>)>,
-    stats: (u64, u64, u64, u64, u64, u64),
-    defense: DefenseStats,
-    energy_bits: u64,
-    end_tick: u64,
-    delivered: bool,
-}
-
-/// Runs one clean defended `Interrogate` exchange and fingerprints it.
-fn exchange_fingerprint(defense: &dyn Defense, seed: u64) -> Fingerprint {
-    let cfg = defended_config(defense, seed);
-    let mut builder = ScenarioBuilder::new(cfg);
-    let mut rig = defense.install(&mut builder);
-    let mut scenario = builder.build();
-    let report = run_defended_exchange(
-        &mut scenario,
-        &mut rig,
-        &mut [],
-        Command::Interrogate,
-        0.120,
-    );
-    fingerprint_of(&mut scenario, report.delivered, report.stats)
-}
-
-fn fingerprint_of(scenario: &mut Scenario, delivered: bool, defense: DefenseStats) -> Fingerprint {
-    let tx = scenario
-        .imd
-        .take_tx_log()
-        .into_iter()
-        .map(|r| (r.start_tick, r.bits, r.payload))
-        .collect();
-    let s = &scenario.imd.stats;
-    Fingerprint {
-        tx,
-        stats: (
-            s.commands_executed,
-            s.responses_sent,
-            s.therapy_changes,
-            s.auth_rejects,
-            s.wake_tokens_accepted,
-            s.wake_dropped,
-        ),
-        defense,
-        energy_bits: scenario.imd.battery().radio_energy_j().to_bits(),
-        end_tick: scenario.medium.tick(),
-        delivered,
-    }
 }
 
 /// One forged-therapy attempt against a defended exchange: commercial

@@ -32,8 +32,15 @@ use hb_adversary::active::AttackerConfig;
 use hb_channel::geometry::Placement;
 use hb_channel::medium::{Medium, MediumConfig};
 use hb_dsp::complex::C64;
+use hb_imd::arq::ArqConfig;
+use hb_imd::commands::Command;
+use hb_mics::session::SessionConfig;
+use hb_testbed::defense::DEFENSES;
 use hb_testbed::experiments::fig11::{success_probability, AttackGoal};
-use hb_testbed::experiments::{fig8, fig9};
+use hb_testbed::experiments::{fig8, fig9, resilience};
+use hb_testbed::scenario::{ScenarioBuilder, ScenarioConfig};
+
+mod common;
 
 /// Exact-equality helper for the canonical pin of each constant. With
 /// `HB_BLESS=1` it prints a ready-to-paste `const` line and skips the
@@ -192,6 +199,79 @@ fn golden_sweep_is_thread_count_invariant() {
     );
 }
 
+/// Exact-equality pin for a non-float golden. With `HB_BLESS=1` it prints
+/// a ready-to-paste `const` line of type `ty` instead of asserting.
+fn assert_pinned<T: PartialEq + std::fmt::Debug>(
+    const_name: &str,
+    ty: &str,
+    measured: T,
+    expected: T,
+) {
+    if std::env::var_os("HB_BLESS").is_some() {
+        println!("const {const_name}: {ty} = {measured:?};");
+        return;
+    }
+    assert!(
+        measured == expected,
+        "{const_name}: measured {measured:?} != golden {expected:?} \
+         (deliberate numerics change? re-capture with HB_BLESS=1, see header)"
+    );
+}
+
+#[test]
+fn golden_arq_exchange_under_faults() {
+    // The ARQ driver at the resilience matrix's heaviest fault intensity:
+    // burst fades cost attempts, so the pin covers timeout, backoff and
+    // retransmission timing as well as the delivery itself.
+    let measured: Vec<(bool, u32, u32, u64, usize, u64)> = [1u64, 2, 4]
+        .into_iter()
+        .map(|seed| {
+            let mut cfg = ScenarioConfig::paper(seed);
+            cfg.fault = resilience::fault_plan(1.0);
+            let mut scenario = ScenarioBuilder::new(cfg).build();
+            let out = hb_testbed::recovery::run_arq_exchange(
+                &mut scenario,
+                &mut [],
+                Command::Interrogate,
+                ArqConfig::default(),
+                SessionConfig::default(),
+            )
+            .expect("ARQ delivers at these seeds");
+            (
+                true,
+                out.attempts,
+                out.timeouts,
+                out.blocks,
+                out.final_channel,
+                scenario.imd.battery().radio_energy_j().to_bits(),
+            )
+        })
+        .collect();
+    assert_pinned(
+        "GOLDEN_ARQ_FAULTY",
+        "[(bool, u32, u32, u64, usize, u64); 3]",
+        measured.as_slice(),
+        GOLDEN_ARQ_FAULTY.as_slice(),
+    );
+}
+
+#[test]
+fn golden_defended_exchanges() {
+    // One clean exchange per defense, fingerprinted as in the conformance
+    // suite: transmit-log digest, implant counters, driver counters,
+    // radio energy, end tick and delivery.
+    let measured: Vec<common::Pin> = DEFENSES
+        .iter()
+        .map(|d| common::exchange_fingerprint(*d, 41).pin())
+        .collect();
+    assert_pinned(
+        "GOLDEN_DEFENDED_EXCHANGES",
+        "[common::Pin; 3]",
+        measured.as_slice(),
+        GOLDEN_DEFENDED_EXCHANGES.as_slice(),
+    );
+}
+
 // --- Golden values, captured with HB_BLESS=1 on the PR-4 engine ---
 // (batched paired Box–Muller NoiseSource + phase-recurrence oscillators;
 // previous constants pinned the seed engine's per-sample Box–Muller.)
@@ -207,3 +287,41 @@ const GOLDEN_FIG11_LOC7_PRESENT: f64 = 0.0;
 const GOLDEN_MEDIUM_ACC_RE: f64 = -36.98071628594399;
 const GOLDEN_MEDIUM_ACC_IM: f64 = 758.3916918838473;
 const GOLDEN_MEDIUM_ACC_POW: f64 = 10372.866069730535;
+
+// --- Exchange-driver pins, captured before the three exchange block loops
+// were folded into one driver (no engine-numeric change since PR 4) ---
+
+const GOLDEN_ARQ_FAULTY: [(bool, u32, u32, u64, usize, u64); 3] = [
+    (true, 4, 3, 5333, 0, 4562023175217470068),
+    (true, 1, 0, 640, 0, 4557519575590099453),
+    (true, 2, 1, 1949, 0, 4562023175217470068),
+];
+const GOLDEN_DEFENDED_EXCHANGES: [common::Pin; 3] = [
+    (
+        9411201845637451913,
+        1,
+        (1, 1, 0, 0, 0, 0),
+        [1, 1, 0, 0, 2250],
+        4557519575590099453,
+        36000,
+        true,
+    ),
+    (
+        4275919380731507934,
+        2,
+        (1, 2, 0, 0, 0, 0),
+        [1, 1, 1, 0, 2250],
+        4562616065101214106,
+        36000,
+        true,
+    ),
+    (
+        5382133448942839958,
+        1,
+        (1, 1, 0, 0, 1, 0),
+        [1, 1, 0, 1, 2250],
+        4557519575590099453,
+        36000,
+        true,
+    ),
+];
