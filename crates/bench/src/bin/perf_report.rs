@@ -26,6 +26,7 @@ use hb_phy::bits::Prbs;
 use hb_phy::fsk::{FskModem, FskParams};
 use hb_phy::stream::StreamingDetector;
 use hb_shield::jamsignal::JamSignal;
+use hb_testbed::exchange::{run_exchange, ArqDriver};
 use hb_testbed::experiments::{fig9, relay_one_exchange, Effort};
 use hb_testbed::scenario::{ScenarioBuilder, ScenarioConfig};
 use rand::rngs::StdRng;
@@ -422,14 +423,14 @@ fn main() {
             let mut cfg = ScenarioConfig::paper(9);
             cfg.fault = resilience::fault_plan(1.0);
             let mut scenario = ScenarioBuilder::new(cfg).build();
-            let out = hb_testbed::recovery::run_arq_exchange(
+            let report = run_exchange(
                 &mut scenario,
                 &mut [],
+                &mut ArqDriver::new(hb_imd::arq::ArqConfig::default()),
                 Command::Interrogate,
-                hb_imd::arq::ArqConfig::default(),
-                hb_mics::session::SessionConfig::default(),
+                f64::INFINITY,
             );
-            std::hint::black_box(out.map(|o| o.blocks).unwrap_or(0));
+            std::hint::black_box(report.map(|r| r.stats.blocks_run).unwrap_or(0));
         },
     ));
     timings.push(time_kernel(
@@ -437,21 +438,20 @@ fn main() {
         "one clean defended exchange per defense (shield, imdfence, wakeup-radio)",
         2 * scale,
         || {
-            use hb_testbed::defense::{run_defended_exchange, DEFENSES};
-            for defense in DEFENSES {
+            for defense in hb_testbed::defense::DEFENSES {
                 let mut cfg = ScenarioConfig::paper(9);
                 defense.configure(&mut cfg);
                 let mut builder = ScenarioBuilder::new(cfg);
-                let mut rig = defense.install(&mut builder);
+                let mut driver = defense.install(&mut builder);
                 let mut scenario = builder.build();
-                let report = run_defended_exchange(
+                let report = run_exchange(
                     &mut scenario,
-                    &mut rig,
                     &mut [],
+                    driver.as_mut(),
                     Command::Interrogate,
                     0.120,
                 );
-                std::hint::black_box(report.delivered);
+                std::hint::black_box(report.map(|r| r.delivered).unwrap_or(false));
             }
         },
     ));

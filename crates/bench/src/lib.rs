@@ -8,16 +8,8 @@
 //!   `--all`, with `--effort`/`--seed`/`--threads` and
 //!   `--format text|csv|json` artifacts written under `results/`.
 //!
-//! Criterion benches live under `benches/`:
-//!
-//! * `dsp_micro` — FFT, shaped-noise generation, Welch PSD, filtering.
-//! * `phy_micro` — FSK modulation/demodulation, streaming detection,
-//!   Sid matching.
-//! * `shield_micro` — antidote computation, jam generation, a full
-//!   relay-exchange simulation step.
-//! * `experiments` — one benchmark per paper table/figure, each running a
-//!   reduced-effort version of the corresponding experiment and asserting
-//!   its headline property, so `cargo bench` regenerates the whole
-//!   evaluation (see EXPERIMENTS.md for paper-scale runs).
+//! Per-figure wall times are measured end to end by the `hbbench`
+//! benchmark (`registry.<experiment>_s`); `perf_report` covers the hot
+//! kernels.
 
 #![forbid(unsafe_code)]

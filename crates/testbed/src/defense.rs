@@ -9,31 +9,27 @@
 //!
 //! * [`Defense::configure`] edits the [`ScenarioConfig`] (shield on/off,
 //!   firmware security mode, wake gate) before the builder starts;
-//! * [`Defense::install`] adds the defense's own nodes (an authorized
-//!   programmer, say) to the [`ScenarioBuilder`] and returns a
-//!   [`DefenseRig`]: those nodes plus a [`DefenseHook`] that drives the
-//!   legitimate exchange from the per-block observe point of
-//!   [`Scenario::run_block_with`] — the one window where a supervisor
-//!   may read the block's receive view without disturbing the medium's
-//!   sample streams;
+//! * [`Defense::install`] adds the defense's antennas (an authorized
+//!   programmer, say) to the [`ScenarioBuilder`] and returns the
+//!   [`ExchangeDriver`] that carries the legitimate exchange under
+//!   [`run_exchange`](crate::exchange::run_exchange);
 //! * [`Defense::claims`] states what the defense is supposed to deliver,
 //!   so the cross-defense conformance suite can assert each claim
 //!   exactly where it is made and nowhere else.
 //!
-//! [`ShieldDefense`] is a thin adapter over the existing engine and is
-//! **bit-identical** to the legacy
-//! [`relay_one_exchange`](crate::experiments::relay_one_exchange) path:
-//! it adds no antennas (the RNG draw order at build time is untouched),
-//! its hook only drains shield state (no medium reads, no RNG), and the
-//! block loop is the same two-phase sequence — proven by equivalence
-//! proptests in `tests/defense.rs`, which is why the golden suite needs
-//! no re-capture.
+//! [`ShieldDefense`] installs the plain [`ShieldRelay`] driver and is
+//! therefore **bit-identical** to the seed engine's relay path: it adds
+//! no antennas (the RNG draw order at build time is untouched), and its
+//! driver only drains shield state (no medium reads, no RNG) — proven by
+//! an equivalence proptest in `tests/defense.rs`, which is why the golden
+//! suite needs no re-capture.
 
+use crate::exchange::{listen, ExchangeDriver, ExchangeError, ExchangeStats, ShieldRelay};
 use crate::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
 use hb_channel::geometry::Placement;
+use hb_channel::medium::Medium;
 use hb_channel::sim::Node;
 use hb_crypto::micro::MicroSession;
-use hb_dsp::units::db_from_ratio;
 use hb_imd::commands::{Command, Response};
 use hb_imd::fence;
 use hb_imd::models::SecurityMode;
@@ -42,8 +38,6 @@ use hb_imd::wakeup::{self, WakeConfig};
 use hb_mics::band::MicsChannel;
 use hb_mics::session::{SessionConfig, SessionNegotiator};
 use hb_phy::packet::Serial;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// What a defense claims to provide. The conformance suite asserts each
 /// claim against the matching adversary — and asserts nothing where no
@@ -59,43 +53,6 @@ pub struct DefenseClaims {
     pub gates_battery_drain: bool,
 }
 
-/// Counters reported by a defense's exchange driver.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DefenseStats {
-    /// Legitimate commands submitted by the driver.
-    pub commands_sent: u64,
-    /// Authenticated (where claimed) replies delivered back.
-    pub replies_delivered: u64,
-    /// Session handshakes completed (fence-style defenses).
-    pub handshakes_completed: u64,
-    /// Wake tokens transmitted (wake-up-radio defenses).
-    pub wake_tokens_sent: u64,
-    /// Blocks the hook observed.
-    pub blocks_run: u64,
-}
-
-/// Per-block driver of a defense's legitimate exchange, called from the
-/// observe point of [`Scenario::run_block_with`].
-pub trait DefenseHook {
-    /// Called once before the block loop with the command to deliver.
-    fn begin(&mut self, scenario: &mut Scenario, cmd: Command);
-    /// Called at the observe point of every block.
-    fn on_block(&mut self, scenario: &mut Scenario);
-    /// Did the legitimate exchange complete?
-    fn delivered(&self) -> bool;
-    /// Driver counters.
-    fn stats(&self) -> DefenseStats;
-}
-
-/// A defense's nodes and exchange driver, ready to run.
-pub struct DefenseRig {
-    /// Nodes the defense adds to the scenario (authorized programmer,
-    /// …); empty for the shield, whose relay lives in the scenario.
-    pub nodes: Vec<Box<dyn Node>>,
-    /// The per-block exchange driver.
-    pub hook: Box<dyn DefenseHook>,
-}
-
 /// One IMD-security protocol, installable into any scenario.
 pub trait Defense: Sync {
     /// Registry-style kebab-case name.
@@ -105,50 +62,9 @@ pub trait Defense: Sync {
     /// Edits the scenario configuration before building (shield on/off,
     /// firmware mode, wake gate). Must not touch fields it does not own.
     fn configure(&self, cfg: &mut ScenarioConfig);
-    /// Installs the defense's nodes into the builder and returns the rig.
-    fn install(&self, builder: &mut ScenarioBuilder) -> DefenseRig;
-}
-
-/// Outcome of one defended exchange.
-#[derive(Debug, Clone)]
-pub struct ExchangeReport {
-    /// Did the legitimate reply come back (authenticated, where claimed)?
-    pub delivered: bool,
-    /// Driver counters.
-    pub stats: DefenseStats,
-}
-
-/// Runs one legitimate exchange under a defense, with `adversaries`
-/// sharing the medium, for `seconds` of simulated time.
-///
-/// The block loop is exactly the standard two-phase sequence —
-/// [`Scenario::run_block_with`] with the rig's nodes appended after the
-/// adversaries' — so with an empty rig and a state-only hook it is
-/// bit-identical to [`relay_one_exchange`](crate::experiments::relay_one_exchange).
-pub fn run_defended_exchange(
-    scenario: &mut Scenario,
-    rig: &mut DefenseRig,
-    adversaries: &mut [&mut dyn Node],
-    cmd: Command,
-    seconds: f64,
-) -> ExchangeReport {
-    rig.hook.begin(scenario, cmd);
-    let blocks = scenario.medium.blocks_for_duration(seconds);
-    for _ in 0..blocks {
-        let hook = &mut rig.hook;
-        let mut nodes: Vec<&mut dyn Node> = Vec::with_capacity(adversaries.len() + rig.nodes.len());
-        for a in adversaries.iter_mut() {
-            nodes.push(&mut **a);
-        }
-        for n in rig.nodes.iter_mut() {
-            nodes.push(n.as_mut());
-        }
-        scenario.run_block_with(&mut nodes, |s| hook.on_block(s));
-    }
-    ExchangeReport {
-        delivered: rig.hook.delivered(),
-        stats: rig.hook.stats(),
-    }
+    /// Installs the defense's antennas into the builder and returns the
+    /// driver of its legitimate exchange.
+    fn install(&self, builder: &mut ScenarioBuilder) -> Box<dyn ExchangeDriver>;
 }
 
 /// The defenses the matrix compares, in canonical order.
@@ -159,9 +75,8 @@ pub static DEFENSES: [&dyn Defense; 3] = [&ShieldDefense, &ImdFenceDefense, &Wak
 // ---------------------------------------------------------------------------
 
 /// The paper's shield, behind the trait: configuration is untouched
-/// (paper defaults already wear the shield), no nodes are added, and the
-/// hook only drains the shield's decrypted-response queue — zero medium
-/// interaction, so the engine's bits are exactly the legacy path's.
+/// (paper defaults already wear the shield), no antennas are added, and
+/// the driver is the plain [`ShieldRelay`].
 pub struct ShieldDefense;
 
 impl Defense for ShieldDefense {
@@ -179,46 +94,217 @@ impl Defense for ShieldDefense {
 
     fn configure(&self, _cfg: &mut ScenarioConfig) {}
 
-    fn install(&self, _builder: &mut ScenarioBuilder) -> DefenseRig {
-        DefenseRig {
-            nodes: Vec::new(),
-            hook: Box::new(ShieldHook::default()),
-        }
+    fn install(&self, _builder: &mut ScenarioBuilder) -> Box<dyn ExchangeDriver> {
+        Box::new(ShieldRelay::default())
     }
 }
 
-#[derive(Default)]
-struct ShieldHook {
-    delivered: bool,
-    stats: DefenseStats,
+// ---------------------------------------------------------------------------
+// Authorized programmer (IMDfence and wake-up radio)
+// ---------------------------------------------------------------------------
+
+/// Where the authorized programmer stands: the paper's baseline
+/// programmer distance (Fig. 6's 30 cm bedside position).
+const PROGRAMMER_POSITION_M: (f64, f64) = (0.3, 0.0);
+
+/// Ticks of guard space between protocol steps (1 ms at 300 kHz) — the
+/// receiver needs its frame fully processed before the next one starts.
+const STEP_GUARD_TICKS: u64 = 300;
+
+/// The shield-less defenses' driver: an authorized [`Programmer`] at the
+/// bedside that performs listen-before-talk (via a [`SessionNegotiator`]
+/// parked on the session channel) and then runs the defense's protocol.
+struct ProgrammerDriver {
+    prog: Programmer,
+    serial: Serial,
+    negotiator: SessionNegotiator,
+    cmd: Command,
+    protocol: Protocol,
+    stats: ExchangeStats,
 }
 
-impl DefenseHook for ShieldHook {
-    fn begin(&mut self, scenario: &mut Scenario, cmd: Command) {
-        scenario
-            .shield
-            .as_mut()
-            .expect("ShieldDefense requires a shielded scenario")
-            .queue_command(cmd);
-        self.stats.commands_sent += 1;
+/// Where a programmer-driven exchange stands.
+enum Protocol {
+    /// IMDfence: sealed HELLO handshake, then the sealed command.
+    Fence(FencePhase),
+    /// Wake-up radio: wake token, then the plaintext command.
+    Wake(WakePhase),
+}
+
+enum FencePhase {
+    AwaitChannel,
+    HelloSent(MicroSession),
+    CmdSent(MicroSession),
+    Done,
+}
+
+enum WakePhase {
+    AwaitChannel,
+    TokenSent {
+        /// End tick of the token burst, captured at schedule time (the
+        /// scheduler forgets bursts once they have played out).
+        token_end: u64,
+    },
+    CmdSent,
+    Done,
+}
+
+impl ProgrammerDriver {
+    /// Places the programmer antenna (`label`) in the builder and returns
+    /// the driver, listening on the scenario's session channel.
+    fn install(builder: &mut ScenarioBuilder, label: &str, protocol: Protocol) -> Box<Self> {
+        let channel = builder.config().channel;
+        let serial = builder.config().imd_model.config(channel).serial;
+        let antenna = builder.add_at(Placement::los(
+            label,
+            PROGRAMMER_POSITION_M.0,
+            PROGRAMMER_POSITION_M.1,
+        ));
+        let prog = Programmer::new(
+            ProgrammerConfig {
+                channel,
+                ..ProgrammerConfig::default()
+            },
+            antenna,
+        );
+        Box::new(ProgrammerDriver {
+            prog,
+            serial,
+            negotiator: SessionNegotiator::scanning_from(
+                SessionConfig::default(),
+                MicsChannel(channel),
+            ),
+            cmd: Command::Interrogate,
+            protocol,
+            stats: ExchangeStats::default(),
+        })
     }
 
-    fn on_block(&mut self, scenario: &mut Scenario) {
-        self.stats.blocks_run += 1;
-        if let Some(shield) = scenario.shield.as_mut() {
-            let n = shield.take_responses().len() as u64;
-            if n > 0 {
-                self.delivered = true;
-                self.stats.replies_delivered += n;
+    /// One IMDfence step; `next` is the first tick of the next block.
+    fn fence_step(&mut self, phase: FencePhase, next: u64) -> FencePhase {
+        match phase {
+            FencePhase::AwaitChannel if self.negotiator.established() => {
+                let hello = fence::hello_payload(&FENCE_MASTER_KEY, &self.serial, 1);
+                self.prog.send_payload_at(next, self.serial, hello);
+                FencePhase::HelloSent(MicroSession::programmer_side(fence::session_key(
+                    &FENCE_MASTER_KEY,
+                    1,
+                )))
             }
+            FencePhase::HelloSent(mut sess) => {
+                for frame in self.prog.take_raw() {
+                    if let Ok(pt) = sess.open(&frame.payload) {
+                        if Response::from_payload(&pt) == Some(Response::Ack) {
+                            self.stats.handshakes_completed += 1;
+                            let sealed = sess.seal(&self.cmd.to_payload());
+                            self.prog
+                                .send_payload_at(next + STEP_GUARD_TICKS, self.serial, sealed);
+                            self.stats.commands_sent += 1;
+                            return FencePhase::CmdSent(sess);
+                        }
+                    }
+                }
+                FencePhase::HelloSent(sess)
+            }
+            FencePhase::CmdSent(mut sess) => {
+                for frame in self.prog.take_raw() {
+                    if let Ok(pt) = sess.open(&frame.payload) {
+                        if Response::from_payload(&pt).is_some() {
+                            self.stats.replies_delivered += 1;
+                            return FencePhase::Done;
+                        }
+                    }
+                }
+                FencePhase::CmdSent(sess)
+            }
+            FencePhase::Done => {
+                self.prog.take_raw();
+                FencePhase::Done
+            }
+            phase @ FencePhase::AwaitChannel => phase,
         }
     }
 
-    fn delivered(&self) -> bool {
-        self.delivered
+    /// One wake-up-radio step at `tick`; `next` is the first tick of the
+    /// next block.
+    fn wake_step(&mut self, phase: WakePhase, tick: u64, next: u64) -> WakePhase {
+        match phase {
+            WakePhase::AwaitChannel if self.negotiator.established() => {
+                let token = wakeup::wake_token(&WAKE_KEY, &self.serial, 1);
+                self.prog.send_payload_at(next, self.serial, token);
+                self.stats.wake_tokens_sent += 1;
+                WakePhase::TokenSent {
+                    // Invariant: the token was scheduled on the line above.
+                    token_end: self.prog.tx_end_tick().expect("token just scheduled"),
+                }
+            }
+            // Once the token has fully aired (plus a guard for the gate to
+            // process it), send the command in the open window. Stock
+            // plaintext from here on.
+            WakePhase::TokenSent { token_end } if tick >= token_end + STEP_GUARD_TICKS => {
+                self.prog.send_command_at(next, self.serial, self.cmd);
+                self.stats.commands_sent += 1;
+                WakePhase::CmdSent
+            }
+            WakePhase::CmdSent => {
+                let delivered = !self.prog.take_responses().is_empty();
+                self.prog.take_raw();
+                if delivered {
+                    self.stats.replies_delivered += 1;
+                    WakePhase::Done
+                } else {
+                    WakePhase::CmdSent
+                }
+            }
+            WakePhase::Done => {
+                self.prog.take_responses();
+                self.prog.take_raw();
+                WakePhase::Done
+            }
+            phase => phase,
+        }
+    }
+}
+
+impl Node for ProgrammerDriver {
+    fn label(&self) -> &str {
+        "defense-programmer"
+    }
+    fn produce(&mut self, medium: &mut Medium) {
+        self.prog.produce(medium);
+    }
+    fn consume(&mut self, medium: &mut Medium) {
+        self.prog.consume(medium);
+    }
+}
+
+impl ExchangeDriver for ProgrammerDriver {
+    fn begin(&mut self, _scenario: &mut Scenario, cmd: Command) -> Result<(), ExchangeError> {
+        self.cmd = cmd;
+        Ok(())
     }
 
-    fn stats(&self) -> DefenseStats {
+    fn observe(&mut self, s: &mut Scenario) -> bool {
+        let tick = s.medium.tick();
+        let next = tick + s.medium.config().block_len as u64;
+        let channel = s.channel();
+        listen(
+            &mut self.negotiator,
+            &mut s.medium,
+            &s.imd,
+            self.prog.antenna(),
+            channel,
+            self.prog.transmitting(tick),
+        );
+        self.protocol = match std::mem::replace(&mut self.protocol, Protocol::Wake(WakePhase::Done))
+        {
+            Protocol::Fence(phase) => Protocol::Fence(self.fence_step(phase, next)),
+            Protocol::Wake(phase) => Protocol::Wake(self.wake_step(phase, tick, next)),
+        };
+        false
+    }
+
+    fn stats(&self) -> ExchangeStats {
         self.stats.clone()
     }
 }
@@ -231,14 +317,6 @@ impl DefenseHook for ShieldHook {
 /// Fixed across trials: the security of the scheme is in the protocol,
 /// not in hiding the simulation's key material.
 pub const FENCE_MASTER_KEY: [u8; 32] = [0xF3; 32];
-
-/// Where the authorized programmer stands: the paper's baseline
-/// programmer distance (Fig. 6's 30 cm bedside position).
-const PROGRAMMER_POSITION_M: (f64, f64) = (0.3, 0.0);
-
-/// Ticks of guard space between protocol steps (1 ms at 300 kHz) — the
-/// receiver needs its frame fully processed before the next one starts.
-const STEP_GUARD_TICKS: u64 = 300;
 
 /// IMDfence-style protocol security in the implant's own firmware: no
 /// shield at all. The scenario's device runs
@@ -272,127 +350,12 @@ impl Defense for ImdFenceDefense {
         };
     }
 
-    fn install(&self, builder: &mut ScenarioBuilder) -> DefenseRig {
-        let channel = builder.config().channel;
-        let serial = builder.config().imd_model.config(channel).serial;
-        let antenna = builder.add_at(Placement::los(
+    fn install(&self, builder: &mut ScenarioBuilder) -> Box<dyn ExchangeDriver> {
+        ProgrammerDriver::install(
+            builder,
             "fence-prog",
-            PROGRAMMER_POSITION_M.0,
-            PROGRAMMER_POSITION_M.1,
-        ));
-        let prog = Programmer::new(
-            ProgrammerConfig {
-                channel,
-                ..ProgrammerConfig::default()
-            },
-            antenna,
-        );
-        let driver = Rc::new(RefCell::new(FenceDriver {
-            prog,
-            serial,
-            negotiator: SessionNegotiator::scanning_from(
-                SessionConfig::default(),
-                MicsChannel(channel),
-            ),
-            session: None,
-            state: FencePhase::AwaitChannel,
-            cmd: None,
-            delivered: false,
-            stats: DefenseStats::default(),
-        }));
-        DefenseRig {
-            nodes: vec![Box::new(NodeHandle(driver.clone()))],
-            hook: Box::new(HookHandle(driver)),
-        }
-    }
-}
-
-enum FencePhase {
-    AwaitChannel,
-    HelloSent,
-    CmdSent,
-    Done,
-}
-
-struct FenceDriver {
-    prog: Programmer,
-    serial: Serial,
-    negotiator: SessionNegotiator,
-    session: Option<MicroSession>,
-    state: FencePhase,
-    cmd: Option<Command>,
-    delivered: bool,
-    stats: DefenseStats,
-}
-
-impl FenceDriver {
-    fn on_block(&mut self, s: &mut Scenario) {
-        self.stats.blocks_run += 1;
-        let tick = s.medium.tick();
-        let block_len = s.medium.config().block_len as u64;
-        let block_s = block_len as f64 / s.medium.config().fs_hz;
-        let channel = s.channel();
-
-        // Listen-before-talk bookkeeping, recovery.rs-style: feed the
-        // negotiator the level at the programmer antenna unless the
-        // energy there is our own side's.
-        let own_energy = self.prog.transmitting(tick) || s.imd.transmitting(tick);
-        if !own_energy {
-            let view = s.medium.receive_view(self.prog.antenna(), channel);
-            let mean_mw = view.iter().map(|c| c.norm_sq()).sum::<f64>() / view.len().max(1) as f64;
-            self.negotiator.observe(db_from_ratio(mean_mw), block_s);
-        }
-
-        match self.state {
-            FencePhase::AwaitChannel => {
-                if self.negotiator.established() {
-                    let hello = fence::hello_payload(&FENCE_MASTER_KEY, &self.serial, 1);
-                    self.prog
-                        .send_payload_at(tick + block_len, self.serial, hello);
-                    self.session = Some(MicroSession::programmer_side(fence::session_key(
-                        &FENCE_MASTER_KEY,
-                        1,
-                    )));
-                    self.state = FencePhase::HelloSent;
-                }
-            }
-            FencePhase::HelloSent => {
-                for frame in self.prog.take_raw() {
-                    let sess = self.session.as_mut().expect("session set at HELLO");
-                    if let Ok(pt) = sess.open(&frame.payload) {
-                        if Response::from_payload(&pt) == Some(Response::Ack) {
-                            self.stats.handshakes_completed += 1;
-                            let cmd = self.cmd.take().expect("begin() supplies the command");
-                            let sealed = sess.seal(&cmd.to_payload());
-                            self.prog.send_payload_at(
-                                tick + block_len + STEP_GUARD_TICKS,
-                                self.serial,
-                                sealed,
-                            );
-                            self.stats.commands_sent += 1;
-                            self.state = FencePhase::CmdSent;
-                            break;
-                        }
-                    }
-                }
-            }
-            FencePhase::CmdSent => {
-                for frame in self.prog.take_raw() {
-                    let sess = self.session.as_mut().expect("session set at HELLO");
-                    if let Ok(pt) = sess.open(&frame.payload) {
-                        if Response::from_payload(&pt).is_some() {
-                            self.delivered = true;
-                            self.stats.replies_delivered += 1;
-                            self.state = FencePhase::Done;
-                            break;
-                        }
-                    }
-                }
-            }
-            FencePhase::Done => {
-                self.prog.take_raw();
-            }
-        }
+            Protocol::Fence(FencePhase::AwaitChannel),
+        )
     }
 }
 
@@ -429,216 +392,34 @@ impl Defense for WakeupRadioDefense {
         cfg.imd_wake = Some(WakeConfig::new(WAKE_KEY));
     }
 
-    fn install(&self, builder: &mut ScenarioBuilder) -> DefenseRig {
-        let channel = builder.config().channel;
-        let serial = builder.config().imd_model.config(channel).serial;
-        let antenna = builder.add_at(Placement::los(
+    fn install(&self, builder: &mut ScenarioBuilder) -> Box<dyn ExchangeDriver> {
+        ProgrammerDriver::install(
+            builder,
             "wake-prog",
-            PROGRAMMER_POSITION_M.0,
-            PROGRAMMER_POSITION_M.1,
-        ));
-        let prog = Programmer::new(
-            ProgrammerConfig {
-                channel,
-                ..ProgrammerConfig::default()
-            },
-            antenna,
-        );
-        let driver = Rc::new(RefCell::new(WakeDriver {
-            prog,
-            serial,
-            negotiator: SessionNegotiator::scanning_from(
-                SessionConfig::default(),
-                MicsChannel(channel),
-            ),
-            state: WakePhase::AwaitChannel,
-            cmd: None,
-            delivered: false,
-            stats: DefenseStats::default(),
-        }));
-        DefenseRig {
-            nodes: vec![Box::new(NodeHandle(driver.clone()))],
-            hook: Box::new(HookHandle(driver)),
-        }
-    }
-}
-
-enum WakePhase {
-    AwaitChannel,
-    TokenSent {
-        /// End tick of the token burst, captured at schedule time (the
-        /// scheduler forgets bursts once they have played out).
-        token_end: u64,
-    },
-    CmdSent,
-    Done,
-}
-
-struct WakeDriver {
-    prog: Programmer,
-    serial: Serial,
-    negotiator: SessionNegotiator,
-    state: WakePhase,
-    cmd: Option<Command>,
-    delivered: bool,
-    stats: DefenseStats,
-}
-
-impl WakeDriver {
-    fn on_block(&mut self, s: &mut Scenario) {
-        self.stats.blocks_run += 1;
-        let tick = s.medium.tick();
-        let block_len = s.medium.config().block_len as u64;
-        let block_s = block_len as f64 / s.medium.config().fs_hz;
-        let channel = s.channel();
-
-        let own_energy = self.prog.transmitting(tick) || s.imd.transmitting(tick);
-        if !own_energy {
-            let view = s.medium.receive_view(self.prog.antenna(), channel);
-            let mean_mw = view.iter().map(|c| c.norm_sq()).sum::<f64>() / view.len().max(1) as f64;
-            self.negotiator.observe(db_from_ratio(mean_mw), block_s);
-        }
-
-        match self.state {
-            WakePhase::AwaitChannel => {
-                if self.negotiator.established() {
-                    let token = wakeup::wake_token(&WAKE_KEY, &self.serial, 1);
-                    self.prog
-                        .send_payload_at(tick + block_len, self.serial, token);
-                    self.stats.wake_tokens_sent += 1;
-                    self.state = WakePhase::TokenSent {
-                        token_end: self.prog.tx_end_tick().expect("token just scheduled"),
-                    };
-                }
-            }
-            WakePhase::TokenSent { token_end } => {
-                // Once the token has fully aired (plus a guard for the
-                // gate to process it), send the command in the open
-                // window. Stock plaintext from here on.
-                if tick >= token_end + STEP_GUARD_TICKS {
-                    let cmd = self.cmd.take().expect("begin() supplies the command");
-                    self.prog
-                        .send_command_at(tick + block_len, self.serial, cmd);
-                    self.stats.commands_sent += 1;
-                    self.state = WakePhase::CmdSent;
-                }
-            }
-            WakePhase::CmdSent => {
-                if !self.prog.take_responses().is_empty() {
-                    self.delivered = true;
-                    self.stats.replies_delivered += 1;
-                    self.state = WakePhase::Done;
-                }
-                self.prog.take_raw();
-            }
-            WakePhase::Done => {
-                self.prog.take_responses();
-                self.prog.take_raw();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rc<RefCell> adapters: the driver is both a medium Node (produce/consume
-// in the block's device phases) and the DefenseHook (observe point). The
-// two roles never overlap within a block — node phases run first, the
-// observe closure after — so the RefCell borrows are disjoint.
-// ---------------------------------------------------------------------------
-
-trait Driver {
-    fn node(&mut self) -> &mut Programmer;
-    fn set_cmd(&mut self, cmd: Command);
-    fn block(&mut self, s: &mut Scenario);
-    fn is_delivered(&self) -> bool;
-    fn get_stats(&self) -> DefenseStats;
-}
-
-impl Driver for FenceDriver {
-    fn node(&mut self) -> &mut Programmer {
-        &mut self.prog
-    }
-    fn set_cmd(&mut self, cmd: Command) {
-        self.cmd = Some(cmd);
-    }
-    fn block(&mut self, s: &mut Scenario) {
-        self.on_block(s);
-    }
-    fn is_delivered(&self) -> bool {
-        self.delivered
-    }
-    fn get_stats(&self) -> DefenseStats {
-        self.stats.clone()
-    }
-}
-
-impl Driver for WakeDriver {
-    fn node(&mut self) -> &mut Programmer {
-        &mut self.prog
-    }
-    fn set_cmd(&mut self, cmd: Command) {
-        self.cmd = Some(cmd);
-    }
-    fn block(&mut self, s: &mut Scenario) {
-        self.on_block(s);
-    }
-    fn is_delivered(&self) -> bool {
-        self.delivered
-    }
-    fn get_stats(&self) -> DefenseStats {
-        self.stats.clone()
-    }
-}
-
-struct NodeHandle<D: Driver>(Rc<RefCell<D>>);
-
-impl<D: Driver> Node for NodeHandle<D> {
-    fn label(&self) -> &str {
-        "defense-programmer"
-    }
-    fn produce(&mut self, medium: &mut hb_channel::medium::Medium) {
-        self.0.borrow_mut().node().produce(medium);
-    }
-    fn consume(&mut self, medium: &mut hb_channel::medium::Medium) {
-        self.0.borrow_mut().node().consume(medium);
-    }
-}
-
-struct HookHandle<D: Driver>(Rc<RefCell<D>>);
-
-impl<D: Driver> DefenseHook for HookHandle<D> {
-    fn begin(&mut self, _scenario: &mut Scenario, cmd: Command) {
-        self.0.borrow_mut().set_cmd(cmd);
-    }
-    fn on_block(&mut self, scenario: &mut Scenario) {
-        self.0.borrow_mut().block(scenario);
-    }
-    fn delivered(&self) -> bool {
-        self.0.borrow().is_delivered()
-    }
-    fn stats(&self) -> DefenseStats {
-        self.0.borrow().get_stats()
+            Protocol::Wake(WakePhase::AwaitChannel),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioConfig;
+    use crate::exchange::{run_exchange, ExchangeReport};
 
     fn run_clean(defense: &dyn Defense, seed: u64, seconds: f64) -> (ExchangeReport, Scenario) {
         let mut cfg = ScenarioConfig::paper(seed);
         defense.configure(&mut cfg);
         let mut builder = ScenarioBuilder::new(cfg);
-        let mut rig = defense.install(&mut builder);
+        let mut driver = defense.install(&mut builder);
         let mut scenario = builder.build();
-        let report = run_defended_exchange(
+        let report = run_exchange(
             &mut scenario,
-            &mut rig,
             &mut [],
+            driver.as_mut(),
             Command::Interrogate,
             seconds,
-        );
+        )
+        .unwrap();
         (report, scenario)
     }
 

@@ -22,13 +22,15 @@
 //! before the fan-out, so the matrix is bit-identical at any thread
 //! count.
 
-use crate::defense::{run_defended_exchange, Defense, DEFENSES};
+use crate::defense::{Defense, DEFENSES};
+use crate::exchange::{run_exchange, ExchangeDriver, ExchangeReport};
 use crate::montecarlo::{self, Estimate, McConfig};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ImdModel, Scenario, ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::{ActiveAttacker, AttackerConfig};
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_channel::geometry::Placement;
+use hb_channel::medium::AntennaId;
 use hb_channel::sim::Node;
 use hb_imd::commands::Command;
 use hb_imd::therapy::TherapyParams;
@@ -95,18 +97,14 @@ struct Trial {
 
 /// Builds a defended scenario: paper config (model alternated by seed
 /// parity as everywhere else), the defense's configuration edits, the
-/// defense's own nodes, then the adversary antenna — in that order, so
-/// the shield arm's build-time RNG draw sequence matches the legacy
+/// defense's own antennas, then the adversary antenna — in that order,
+/// so the shield arm's build-time RNG draw sequence matches the seed
 /// engine exactly.
 fn build_defended(
     defense: &dyn Defense,
     adv_placement: Placement,
     seed: u64,
-) -> (
-    Scenario,
-    crate::defense::DefenseRig,
-    hb_channel::medium::AntennaId,
-) {
+) -> (Scenario, Box<dyn ExchangeDriver>, AntennaId) {
     let mut cfg = ScenarioConfig::paper(seed);
     cfg.imd_model = if seed.is_multiple_of(2) {
         ImdModel::VirtuosoIcd
@@ -115,10 +113,30 @@ fn build_defended(
     };
     defense.configure(&mut cfg);
     let mut builder = ScenarioBuilder::new(cfg);
-    let rig = defense.install(&mut builder);
+    let driver = defense.install(&mut builder);
     let ant = builder.add_at(adv_placement);
     let scenario = builder.build();
-    (scenario, rig, ant)
+    (scenario, driver, ant)
+}
+
+/// Runs the legitimate `Interrogate` exchange under the defense's driver
+/// for `seconds`, with `adversary` sharing the medium.
+fn interrogate(
+    scenario: &mut Scenario,
+    driver: &mut dyn ExchangeDriver,
+    adversary: &mut dyn Node,
+    seconds: f64,
+) -> ExchangeReport {
+    run_exchange(
+        scenario,
+        &mut [adversary],
+        driver,
+        Command::Interrogate,
+        seconds,
+    )
+    // Invariant: each defense's `configure` keeps what its driver needs
+    // (the shield, for the shield relay).
+    .expect("a defended scenario carries its driver's relay path")
 }
 
 /// Location-1 placement (20 cm — the paper's hardest near position).
@@ -142,15 +160,9 @@ fn forged_therapy() -> Command {
 /// sealed replies recover to ciphertext, so only an actually-open
 /// air interface leaks.
 fn eaves_trial(defense: &dyn Defense, seed: u64) -> Trial {
-    let (mut scenario, mut rig, ant) = build_defended(defense, near_placement("eve"), seed);
+    let (mut scenario, mut driver, ant) = build_defended(defense, near_placement("eve"), seed);
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, ant, scenario.channel());
-    let report = run_defended_exchange(
-        &mut scenario,
-        &mut rig,
-        &mut [&mut eve as &mut dyn Node],
-        Command::Interrogate,
-        0.120,
-    );
+    let report = interrogate(&mut scenario, driver.as_mut(), &mut eve, 0.120);
     let leaked = scenario.imd.take_tx_log().iter().any(|r| {
         eve.recover_frame(r.start_tick, r.bits.len())
             .is_some_and(|f| f.payload == r.payload)
@@ -166,7 +178,7 @@ fn eaves_trial(defense: &dyn Defense, seed: u64) -> Trial {
 /// [`FORGE_AT_S`] into a legitimate `Interrogate` exchange. Success iff
 /// the implant changed therapy.
 fn forge_trial_at(defense: &dyn Defense, placement: Placement, seed: u64) -> Trial {
-    let (mut scenario, mut rig, ant) = build_defended(defense, placement, seed);
+    let (mut scenario, mut driver, ant) = build_defended(defense, placement, seed);
     let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), ant);
     let serial = scenario.imd.config().serial;
     let channel = scenario.channel();
@@ -174,13 +186,7 @@ fn forge_trial_at(defense: &dyn Defense, placement: Placement, seed: u64) -> Tri
     let start =
         scenario.medium.tick() + scenario.medium.blocks_for_duration(FORGE_AT_S) * block_len;
     attacker.send_forged_command(start, channel, serial, forged_therapy());
-    let report = run_defended_exchange(
-        &mut scenario,
-        &mut rig,
-        &mut [&mut attacker as &mut dyn Node],
-        Command::Interrogate,
-        FORGE_RUN_S,
-    );
+    let report = interrogate(&mut scenario, driver.as_mut(), &mut attacker, FORGE_RUN_S);
     Trial {
         attack: (u64::from(scenario.imd.stats.therapy_changes > 0), 1),
         delivered: report.delivered,
@@ -191,12 +197,12 @@ fn forge_trial_at(defense: &dyn Defense, placement: Placement, seed: u64) -> Tri
 /// Drain trial: [`DRAIN_COMMANDS`] forged interrogations at
 /// [`DRAIN_SPACING_S`] spacing, starting after the legitimate exchange.
 /// The attack numerator counts implant transmissions *beyond* the
-/// legitimate ones (replies delivered to the rig plus handshake Acks) —
+/// legitimate ones (replies delivered to the driver plus handshake Acks) —
 /// every one of them is battery the adversary spent, whether a coerced
 /// reply (open air), an in-window reply (wake gate), or an auth Nak
 /// (IMDfence's refusal cost).
 fn drain_trial(defense: &dyn Defense, seed: u64) -> Trial {
-    let (mut scenario, mut rig, ant) = build_defended(defense, near_placement("drainer"), seed);
+    let (mut scenario, mut driver, ant) = build_defended(defense, near_placement("drainer"), seed);
     let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), ant);
     let serial = scenario.imd.config().serial;
     let channel = scenario.channel();
@@ -208,13 +214,7 @@ fn drain_trial(defense: &dyn Defense, seed: u64) -> Trial {
         attacker.send_forged_command(start + i * spacing, channel, serial, Command::Interrogate);
     }
     let seconds = FORGE_AT_S + DRAIN_COMMANDS as f64 * DRAIN_SPACING_S + 0.080;
-    let report = run_defended_exchange(
-        &mut scenario,
-        &mut rig,
-        &mut [&mut attacker as &mut dyn Node],
-        Command::Interrogate,
-        seconds,
-    );
+    let report = interrogate(&mut scenario, driver.as_mut(), &mut attacker, seconds);
     let legit = report.stats.replies_delivered + report.stats.handshakes_completed;
     let extra = scenario.imd.stats.responses_sent.saturating_sub(legit);
     Trial {

@@ -2,8 +2,8 @@
 //! ablations and extension scenarios. Each module exposes a typed
 //! `run(effort, seed)` entry point *and* a zero-sized
 //! [`registry::Experiment`] entry struct; the [`registry`] lists every
-//! entry so drivers (the `full_evaluation` example, the `hb_eval` CLI)
-//! never hard-code experiment names.
+//! entry so drivers (the `hb_eval` CLI, the benchmark's sweep) never
+//! hard-code experiment names.
 //!
 //! | Module | Reproduces |
 //! |---|---|
@@ -48,6 +48,7 @@ pub mod table1;
 pub mod table2;
 pub mod ward;
 
+use crate::exchange::{run_exchange, ExchangeReport, ShieldRelay};
 use crate::scenario::Scenario;
 use hb_channel::sim::Node;
 use hb_imd::commands::Command;
@@ -130,36 +131,17 @@ pub fn test_seed(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Drives one shield-relayed exchange: queues `cmd` on the shield, then
-/// runs until the jam window closes (one command + reply + guard time).
+/// Drives one shield-relayed exchange: the [`ShieldRelay`] driver over a
+/// window that covers one command, the reply and the jam-window tail
+/// (command 20.5 ms + T2 3.7 ms + reply ≤21 ms, plus margin: 60 ms).
 ///
-/// Returns the number of blocks run, or
-/// [`ExchangeError::NoShield`](crate::recovery::ExchangeError::NoShield)
-/// when the scenario has no relay path — misconfiguration is an error
-/// for the caller to surface, not a panic.
-pub fn try_relay_one_exchange(
-    scenario: &mut Scenario,
-    extra: &mut [&mut dyn Node],
-    cmd: Command,
-) -> Result<u64, crate::recovery::ExchangeError> {
-    let shield = scenario
-        .shield
-        .as_mut()
-        .ok_or(crate::recovery::ExchangeError::NoShield)?;
-    shield.queue_command(cmd);
-    // Command (20.5 ms) + T2 (3.7 ms) + reply (≤21 ms) + jam-window tail
-    // and margin: 60 ms covers the full exchange comfortably.
-    let blocks = scenario.medium.blocks_for_duration(0.060);
-    scenario.run_blocks(extra, blocks);
-    Ok(blocks)
-}
-
-/// [`try_relay_one_exchange`] for callers that just built a shielded
-/// scenario; panics if the shield is missing.
+/// Panics if the scenario has no shield; [`run_exchange`] with a
+/// [`ShieldRelay`] reports that as [`ExchangeError::NoShield`](crate::exchange::ExchangeError::NoShield).
 pub fn relay_one_exchange(
     scenario: &mut Scenario,
     extra: &mut [&mut dyn Node],
     cmd: Command,
-) -> u64 {
-    try_relay_one_exchange(scenario, extra, cmd).expect("relay_one_exchange needs a shield")
+) -> ExchangeReport {
+    run_exchange(scenario, extra, &mut ShieldRelay::default(), cmd, 0.060)
+        .expect("relay_one_exchange needs a shielded scenario")
 }

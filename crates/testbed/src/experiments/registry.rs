@@ -2,11 +2,11 @@
 //! scenario as a first-class [`Experiment`] value behind one engine.
 //!
 //! Before this registry existed, each experiment module hand-rolled its
-//! own `run(effort, seed)` entry point and `examples/full_evaluation.rs`
-//! wired them up one macro call at a time; adding a scenario meant
+//! own `run(effort, seed)` entry point and a hand-written evaluation
+//! driver wired them up one macro call at a time; adding a scenario meant
 //! touching four places. Now a scenario is one `impl Experiment` plus one
-//! line in [`REGISTRY`], and every driver — the `full_evaluation`
-//! example, the `hb_eval` CLI, the registry tests — walks the same list.
+//! line in [`REGISTRY`], and every driver — the `hb_eval` CLI, the
+//! registry tests — walks the same list.
 //!
 //! The engine owns the cross-cutting concerns:
 //!
@@ -29,7 +29,7 @@ use crate::report::Artifact;
 use std::sync::Arc;
 
 /// The canonical default master seed shared by every driver
-/// (`full_evaluation`, `hb_eval`): SIGCOMM'11 started August 15, 2011.
+/// (`hb_eval` and the registry tests): SIGCOMM'11 started August 15, 2011.
 pub const DEFAULT_SEED: u64 = 20110815;
 
 /// Everything an experiment needs to run: the effort preset and the
@@ -76,9 +76,8 @@ pub trait Experiment: Sync {
 }
 
 /// Every experiment, in the canonical evaluation order (the order
-/// `full_evaluation` reports them and `results/evaluation.txt` lists
-/// them): the paper's figures and tables first, then the ablations, then
-/// the extension scenarios.
+/// `hb_eval --all` runs and reports them): the paper's figures and tables
+/// first, then the ablations, then the extension scenarios.
 pub static REGISTRY: &[&dyn Experiment] = &[
     &fig3::Fig3Experiment,
     &fig4::Fig4Experiment,

@@ -27,6 +27,7 @@
 //! master seeds derived before the fan-out, so the matrix is
 //! bit-identical at any thread count.
 
+use crate::exchange::{run_exchange, ArqDriver};
 use crate::montecarlo::{self, Estimate, McConfig};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ImdModel, ScenarioBuilder, ScenarioConfig};
@@ -36,7 +37,6 @@ use hb_channel::sim::Node;
 use hb_imd::arq::ArqConfig;
 use hb_imd::commands::Command;
 use hb_imd::therapy::TherapyParams;
-use hb_mics::session::SessionConfig;
 
 use super::Effort;
 
@@ -97,21 +97,16 @@ fn exchange_trial(intensity: f64, arq: ArqConfig, seed: u64) -> (bool, u32, f64)
     };
     cfg.fault = fault_plan(intensity);
     let mut scenario = ScenarioBuilder::new(cfg).build();
-    let outcome = crate::recovery::run_arq_exchange(
+    let report = run_exchange(
         &mut scenario,
         &mut [],
+        &mut ArqDriver::new(arq),
         Command::Interrogate,
-        arq,
-        SessionConfig::default(),
-    );
+        f64::INFINITY,
+    )
+    .expect("paper scenarios always carry a shield");
     let energy = scenario.imd.battery().radio_energy_j();
-    match outcome {
-        Ok(out) => (true, out.attempts, energy),
-        Err(crate::recovery::ExchangeError::Exhausted { attempts }) => (false, attempts, energy),
-        Err(crate::recovery::ExchangeError::NoShield) => {
-            unreachable!("paper scenarios always carry a shield")
-        }
-    }
+    (report.delivered, report.stats.attempts, energy)
 }
 
 /// One forged-command trial for the security row: attacker with a

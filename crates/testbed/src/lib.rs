@@ -8,13 +8,16 @@
 //! * [`experiments`] — one module per table/figure, plus ablations and
 //!   extension scenarios, all behind the
 //!   [`experiments::registry::Experiment`] trait and its static registry.
-//! * [`recovery`] — the adversity-hardened exchange driver: link-layer
-//!   ARQ (timeout/backoff/bounded retries) plus live MICS session
-//!   recovery onto a clean channel under persistent interference.
+//! * [`exchange`] — the one exchange driver: [`exchange::run_exchange`]
+//!   carries a command to the implant and its reply back under any
+//!   [`exchange::ExchangeDriver`] — the shield relay, link-layer ARQ
+//!   (timeout/backoff/bounded retries) with live MICS session recovery
+//!   onto a clean channel, or a defense's own driver.
 //! * [`defense`] — the defense matrix: alternative IMD-security
 //!   protocols (the paper's shield, IMDfence-style in-device sessions,
 //!   zero-power wake-up gating) behind one [`defense::Defense`] trait so
-//!   the full adversary suite runs against each.
+//!   the full adversary suite runs against each; each installs the
+//!   exchange driver its protocol needs.
 //! * [`montecarlo`] — the adaptive sampling engine: grows trial counts in
 //!   deterministic rounds until Wilson/bootstrap confidence intervals hit
 //!   a target half-width (the statistical experiments ride it).
@@ -30,20 +33,23 @@
 pub mod checkpoint;
 pub mod crosstraffic;
 pub mod defense;
+pub mod exchange;
 pub mod experiments;
 pub mod layout;
 pub mod montecarlo;
 pub mod parallel;
-pub mod recovery;
 pub mod report;
 pub mod scenario;
 
 pub use checkpoint::{RunCtl, RunHealth};
-pub use defense::{run_defended_exchange, Defense, DefenseClaims, DefenseRig, DefenseStats};
+pub use defense::{Defense, DefenseClaims};
+pub use exchange::{
+    run_exchange, ArqDriver, ExchangeDriver, ExchangeError, ExchangeReport, ExchangeStats,
+    ShieldRelay,
+};
 pub use experiments::registry::{EvalCtx, Experiment};
 pub use experiments::Effort;
 pub use layout::Fig6Layout;
 pub use montecarlo::{Estimate, McConfig};
 pub use parallel::threads as parallel_threads;
-pub use recovery::{run_arq_exchange, ExchangeError, ExchangeOutcome};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioConfig};

@@ -350,12 +350,25 @@ impl Scenario {
 
     /// Runs one block in the standard two-phase order, invoking `observe`
     /// after every device has consumed but *before* the block ends —
-    /// the only point where a supervisor (e.g. the session-recovery
-    /// driver in [`crate::recovery`]) may read this block's
+    /// the only point where a supervisor (e.g. an exchange driver in
+    /// [`crate::exchange`]) may read this block's
     /// [`Medium::receive_view`]: staging freezes at the first receive, so
     /// observing any earlier would forbid the block's transmissions, and
     /// any later reads the next block.
     pub fn run_block_with(&mut self, extra: &mut [&mut dyn Node], observe: impl FnOnce(&mut Self)) {
+        self.device_phases(extra, None);
+        observe(self);
+        self.medium.end_block();
+    }
+
+    /// One block's two device phases: the IMD, the shield, every
+    /// additional patient (implant, then shield), the `extra` nodes, then
+    /// `last` produce; then all of them consume in the same order.
+    pub(crate) fn device_phases(
+        &mut self,
+        extra: &mut [&mut dyn Node],
+        mut last: Option<&mut dyn Node>,
+    ) {
         self.imd.produce(&mut self.medium);
         if let Some(shield) = self.shield.as_mut() {
             shield.produce(&mut self.medium);
@@ -365,6 +378,9 @@ impl Scenario {
             p.shield.produce(&mut self.medium);
         }
         for n in extra.iter_mut() {
+            n.produce(&mut self.medium);
+        }
+        if let Some(n) = last.as_mut() {
             n.produce(&mut self.medium);
         }
         self.imd.consume(&mut self.medium);
@@ -378,8 +394,9 @@ impl Scenario {
         for n in extra.iter_mut() {
             n.consume(&mut self.medium);
         }
-        observe(self);
-        self.medium.end_block();
+        if let Some(n) = last.as_mut() {
+            n.consume(&mut self.medium);
+        }
     }
 
     /// Runs for at least `seconds` of simulated time.

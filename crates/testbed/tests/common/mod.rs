@@ -5,7 +5,8 @@
 #![allow(dead_code)]
 
 use hb_imd::commands::Command;
-use hb_testbed::defense::{run_defended_exchange, Defense, DefenseStats};
+use hb_testbed::defense::Defense;
+use hb_testbed::exchange::{run_exchange, ExchangeStats};
 use hb_testbed::scenario::{ImdModel, Scenario, ScenarioBuilder, ScenarioConfig};
 
 /// Paper config with the usual model alternation and the defense's edits.
@@ -25,7 +26,7 @@ pub fn defended_config(defense: &dyn Defense, seed: u64) -> ScenarioConfig {
 pub struct Fingerprint {
     pub tx: Vec<(u64, Vec<u8>, Vec<u8>)>,
     pub stats: (u64, u64, u64, u64, u64, u64),
-    pub defense: DefenseStats,
+    pub defense: ExchangeStats,
     pub energy_bits: u64,
     pub end_tick: u64,
     pub delivered: bool,
@@ -82,22 +83,23 @@ impl Fingerprint {
 pub fn exchange_fingerprint(defense: &dyn Defense, seed: u64) -> Fingerprint {
     let cfg = defended_config(defense, seed);
     let mut builder = ScenarioBuilder::new(cfg);
-    let mut rig = defense.install(&mut builder);
+    let mut driver = defense.install(&mut builder);
     let mut scenario = builder.build();
-    let report = run_defended_exchange(
+    let report = run_exchange(
         &mut scenario,
-        &mut rig,
         &mut [],
+        driver.as_mut(),
         Command::Interrogate,
         0.120,
-    );
+    )
+    .unwrap();
     fingerprint_of(&mut scenario, report.delivered, report.stats)
 }
 
 pub fn fingerprint_of(
     scenario: &mut Scenario,
     delivered: bool,
-    defense: DefenseStats,
+    defense: ExchangeStats,
 ) -> Fingerprint {
     let tx = scenario
         .imd

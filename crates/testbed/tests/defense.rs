@@ -13,17 +13,18 @@
 //!   (bounds sized from the `calibrate_defense_*` truth printers across
 //!   seeds, not one lucky stream).
 //! * **Legacy equivalence** — [`ShieldDefense`] behind the trait is
-//!   *bitwise* identical to the legacy `relay_one_exchange` engine
-//!   (proptest over seeds and eavesdropper positions), which is why the
-//!   golden suite needs no re-capture.
+//!   *bitwise* identical to the seed engine's relay path — a queued
+//!   command and a raw `Scenario::run_blocks` window (proptest over seeds
+//!   and eavesdropper positions), which is why the golden suite needs no
+//!   re-capture.
 
 use hb_adversary::active::{ActiveAttacker, AttackerConfig};
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_channel::sim::Node;
 use hb_imd::commands::Command;
 use hb_imd::therapy::TherapyParams;
-use hb_testbed::defense::{run_defended_exchange, Defense, DefenseStats, ShieldDefense, DEFENSES};
-use hb_testbed::experiments::relay_one_exchange;
+use hb_testbed::defense::{Defense, ShieldDefense, DEFENSES};
+use hb_testbed::exchange::{run_exchange, ExchangeStats};
 use hb_testbed::montecarlo::{self, McConfig};
 use hb_testbed::scenario::ScenarioBuilder;
 use proptest::prelude::*;
@@ -45,7 +46,7 @@ fn test_seed(default: u64) -> u64 {
 fn forge_once(defense: &dyn Defense, seed: u64) -> bool {
     let cfg = defended_config(defense, seed);
     let mut builder = ScenarioBuilder::new(cfg);
-    let mut rig = defense.install(&mut builder);
+    let mut driver = defense.install(&mut builder);
     let atk_ant = builder.add_at(
         hb_testbed::layout::Fig6Layout::paper()
             .location(1)
@@ -60,13 +61,14 @@ fn forge_once(defense: &dyn Defense, seed: u64) -> bool {
     let mut p = TherapyParams::nominal();
     p.rate_ppm = 150;
     attacker.send_forged_command(start, channel, serial, Command::SetTherapy(p));
-    run_defended_exchange(
+    run_exchange(
         &mut scenario,
-        &mut rig,
         &mut [&mut attacker as &mut dyn Node],
+        driver.as_mut(),
         Command::Interrogate,
         0.180,
-    );
+    )
+    .unwrap();
     scenario.imd.stats.therapy_changes > 0
 }
 
@@ -75,7 +77,7 @@ fn forge_once(defense: &dyn Defense, seed: u64) -> bool {
 fn drain_energy_mj(defense: &dyn Defense, seed: u64) -> f64 {
     let cfg = defended_config(defense, seed);
     let mut builder = ScenarioBuilder::new(cfg);
-    let mut rig = defense.install(&mut builder);
+    let mut driver = defense.install(&mut builder);
     let atk_ant = builder.add_at(
         hb_testbed::layout::Fig6Layout::paper()
             .location(1)
@@ -91,13 +93,14 @@ fn drain_energy_mj(defense: &dyn Defense, seed: u64) -> f64 {
     for i in 0..16 {
         attacker.send_forged_command(start + i * spacing, channel, serial, Command::Interrogate);
     }
-    run_defended_exchange(
+    run_exchange(
         &mut scenario,
-        &mut rig,
         &mut [&mut attacker as &mut dyn Node],
+        driver.as_mut(),
         Command::Interrogate,
         0.110 + 16.0 * 0.060 + 0.080,
-    );
+    )
+    .unwrap();
     scenario.imd.battery().radio_energy_j() * 1e3
 }
 
@@ -215,60 +218,61 @@ fn drain_gating_defenses_bound_the_energy_bill() {
     }
 }
 
-/// Drives the LEGACY path: identical scenario construction, then
-/// `relay_one_exchange` twice over 0.060 s windows — the exact engine the
-/// golden suite pins.
+/// Drives the seed engine's relay path with no exchange driver at all:
+/// identical scenario construction, the command queued on the shield by
+/// hand, then a raw `Scenario::run_blocks` over the 60 ms relay window —
+/// the exact engine the golden suite pins.
 fn legacy_fingerprint(seed: u64, eve_location: usize) -> Fingerprint {
     let cfg = defended_config(&ShieldDefense, seed);
     let mut builder = ScenarioBuilder::new(cfg);
     let eve_ant = builder.add_at_location(eve_location, "eve");
     let mut scenario = builder.build();
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-    relay_one_exchange(
-        &mut scenario,
-        &mut [&mut eve as &mut dyn Node],
-        Command::Interrogate,
-    );
+    let shield = scenario.shield.as_mut().expect("shield present");
+    shield.queue_command(Command::Interrogate);
+    let blocks = scenario.medium.blocks_for_duration(0.060);
+    scenario.run_blocks(&mut [&mut eve as &mut dyn Node], blocks);
     let delivered = !scenario
         .shield
         .as_mut()
         .expect("shield present")
         .take_responses()
         .is_empty();
-    fingerprint_of(&mut scenario, delivered, DefenseStats::default())
+    fingerprint_of(&mut scenario, delivered, ExchangeStats::default())
 }
 
-/// Same exchange through the [`ShieldDefense`] rig.
-fn shield_rig_fingerprint(seed: u64, eve_location: usize) -> Fingerprint {
+/// Same exchange through the [`ShieldDefense`] driver.
+fn shield_driver_fingerprint(seed: u64, eve_location: usize) -> Fingerprint {
     let cfg = defended_config(&ShieldDefense, seed);
     let mut builder = ScenarioBuilder::new(cfg);
-    let mut rig = ShieldDefense.install(&mut builder);
+    let mut driver = ShieldDefense.install(&mut builder);
     let eve_ant = builder.add_at_location(eve_location, "eve");
     let mut scenario = builder.build();
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-    let report = run_defended_exchange(
+    let report = run_exchange(
         &mut scenario,
-        &mut rig,
         &mut [&mut eve as &mut dyn Node],
+        driver.as_mut(),
         Command::Interrogate,
         0.060,
-    );
-    fingerprint_of(&mut scenario, report.delivered, DefenseStats::default())
+    )
+    .unwrap();
+    fingerprint_of(&mut scenario, report.delivered, ExchangeStats::default())
 }
 
 proptest! {
-    /// The tentpole's bit-identity contract: ShieldDefense behind the
-    /// trait produces the exact transmit log, stats, battery energy, and
-    /// medium clock of the legacy engine — for any seed and any
-    /// eavesdropper position. This is the proof that no golden artifact
-    /// needs re-capture.
+    /// The bit-identity contract: ShieldDefense behind the trait, driven
+    /// by `run_exchange`, produces the exact transmit log, stats, battery
+    /// energy, medium clock and delivery verdict of the seed engine — for
+    /// any seed and any eavesdropper position. This is the proof that no
+    /// golden artifact needs re-capture.
     #[test]
     fn shield_defense_is_bitwise_equivalent_to_legacy(
         seed in 0u64..5_000,
         eve_location in 1usize..=18,
     ) {
         let legacy = legacy_fingerprint(seed, eve_location);
-        let rig = shield_rig_fingerprint(seed, eve_location);
-        prop_assert_eq!(legacy, rig);
+        let driven = shield_driver_fingerprint(seed, eve_location);
+        prop_assert_eq!(legacy, driven);
     }
 }

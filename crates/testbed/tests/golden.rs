@@ -34,8 +34,8 @@ use hb_channel::medium::{Medium, MediumConfig};
 use hb_dsp::complex::C64;
 use hb_imd::arq::ArqConfig;
 use hb_imd::commands::Command;
-use hb_mics::session::SessionConfig;
 use hb_testbed::defense::DEFENSES;
+use hb_testbed::exchange::{run_exchange, ArqDriver};
 use hb_testbed::experiments::fig11::{success_probability, AttackGoal};
 use hb_testbed::experiments::{fig8, fig9, resilience};
 use hb_testbed::scenario::{ScenarioBuilder, ScenarioConfig};
@@ -229,20 +229,21 @@ fn golden_arq_exchange_under_faults() {
             let mut cfg = ScenarioConfig::paper(seed);
             cfg.fault = resilience::fault_plan(1.0);
             let mut scenario = ScenarioBuilder::new(cfg).build();
-            let out = hb_testbed::recovery::run_arq_exchange(
+            let report = run_exchange(
                 &mut scenario,
                 &mut [],
+                &mut ArqDriver::new(ArqConfig::default()),
                 Command::Interrogate,
-                ArqConfig::default(),
-                SessionConfig::default(),
+                f64::INFINITY,
             )
-            .expect("ARQ delivers at these seeds");
+            .unwrap();
+            let stats = report.stats;
             (
-                true,
-                out.attempts,
-                out.timeouts,
-                out.blocks,
-                out.final_channel,
+                report.delivered,
+                stats.attempts,
+                stats.timeouts,
+                stats.blocks_run,
+                stats.final_channel,
                 scenario.imd.battery().radio_energy_j().to_bits(),
             )
         })

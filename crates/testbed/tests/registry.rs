@@ -1,5 +1,5 @@
 //! Registry coverage: the experiment registry is the single source of
-//! truth for every driver (`full_evaluation`, `hb_eval`, CI), so these
+//! truth for every driver (`hb_eval`, CI), so these
 //! tests pin its invariants — every experiment module registered exactly
 //! once, stable kebab-case names, and a working `run` for each entry.
 

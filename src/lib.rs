@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use heartbeats::testbed::scenario::{ScenarioBuilder, ScenarioConfig};
-//! use heartbeats::imd::commands::{Command, Response};
+//! use heartbeats::imd::commands::Command;
 //!
 //! // Build the paper's testbed: an implanted ICD with a shield worn over it.
 //! let mut scenario = ScenarioBuilder::new(ScenarioConfig::paper(42)).build();
@@ -28,13 +28,14 @@
 //! // Relay interrogations through the shield; it jams the replies on the
 //! // air while decoding them itself. (A few exchanges, because the
 //! // shield's packet loss is small but not zero — that is Fig. 10.)
-//! for _ in 0..3 {
-//!     heartbeats::testbed::experiments::relay_one_exchange(
-//!         &mut scenario, &mut [], Command::Interrogate);
-//! }
-//!
-//! let responses = scenario.shield.as_mut().unwrap().take_responses();
-//! assert!(responses.iter().any(|r| matches!(r, Response::Status { .. })));
+//! let delivered = (0..3)
+//!     .filter(|_| {
+//!         heartbeats::testbed::experiments::relay_one_exchange(
+//!             &mut scenario, &mut [], Command::Interrogate)
+//!         .delivered
+//!     })
+//!     .count();
+//! assert!(delivered >= 1);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,5 +1,5 @@
 //! Smoke tests: every experiment module runs end to end at tiny effort
-//! and reproduces its headline property. This pins the `full_evaluation`
+//! and reproduces its headline property. This pins the `hb_eval --all`
 //! pipeline — if any experiment silently breaks, these fail first.
 
 use heartbeats::testbed::experiments::{self, Effort};
