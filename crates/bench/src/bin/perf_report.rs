@@ -20,12 +20,15 @@ use hb_channel::fading::Fading;
 use hb_channel::geometry::Placement;
 use hb_channel::medium::{Medium, MediumConfig};
 use hb_channel::pathloss::PathlossModel;
+use hb_channel::sim::Node;
 use hb_dsp::complex::C64;
 use hb_imd::commands::Command;
 use hb_phy::bits::Prbs;
 use hb_phy::fsk::{FskModem, FskParams};
+use hb_phy::packet::Serial;
 use hb_phy::stream::StreamingDetector;
 use hb_shield::jamsignal::JamSignal;
+use hb_shield::shield::{Shield, ShieldConfig};
 use hb_testbed::exchange::{run_exchange, ArqDriver};
 use hb_testbed::experiments::{fig9, relay_one_exchange, Effort};
 use hb_testbed::scenario::{ScenarioBuilder, ScenarioConfig};
@@ -403,6 +406,27 @@ fn main() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    {
+        // The shield's wideband monitor on a quiet band: one block of
+        // produce + consume + end_block for a lone shield whose 9
+        // non-session monitored channels carry nothing. The squelch reads
+        // their levels through `Medium::receive_power`, so no idle noise
+        // is synthesized — this is the layer-level number for that path.
+        let mut m = Medium::new(MediumConfig::default(), 42);
+        let cfg = ShieldConfig::paper_defaults(Serial::from_str_padded("VIRTUOSO01"), 0);
+        let mut shield = Shield::install(cfg, &mut m, (0.0, 0.0), 7);
+        timings.push(time_kernel(
+            "shield_idle_monitor_block",
+            "1 shield block, 9 idle monitored channels: produce + consume + end_block",
+            20_000 * scale,
+            move || {
+                shield.produce(&mut m);
+                shield.consume(&mut m);
+                m.end_block();
+            },
+        ));
+    }
+
     // --- Layer 3: one full relayed exchange and a quick Fig. 9 ---
     timings.push(time_kernel(
         "relay_one_exchange",
@@ -456,12 +480,17 @@ fn main() {
         },
     ));
     if quick {
+        let effort = Effort {
+            ci_half_width: 0.0, // unreachable: runs to the 1-trial cap
+            mc_max_trials: 1,
+            ..Effort::tiny()
+        };
         timings.push(time_kernel(
             "fig9_one_location",
-            "eavesdropper BER at location 1, 2 packets",
+            "eavesdropper BER at location 1, one 2-packet Monte-Carlo trial",
             1,
-            || {
-                std::hint::black_box(fig9::ber_at_location(1, 2, 3));
+            move || {
+                std::hint::black_box(fig9::ber_at_location_ci_with(1, 1, &effort, 3).mean);
             },
         ));
     } else {

@@ -22,10 +22,10 @@
 //!   a pure function of `(plan, seed, block index)` — independent of
 //!   how many antennas receive, in what order, or on how many threads.
 //!
-//! The storm's noise fill does draw per affected receive, but from the
-//! fault stream, so the main stream's draw sequence (receiver noise,
-//! impulse interference, link fading) is untouched even when faults
-//! fire.
+//! The storm's noise fill draws per affected receive, but from that
+//! receive slot's keyed noise stream (after its floor and impulse draws),
+//! so the hazard stream keeps exactly two draws per block and the main
+//! stream (link fading) is untouched even when faults fire.
 
 /// A deterministic schedule of channel adversity. `Copy` on purpose so
 /// it rides along inside `MediumConfig` and scenario configs.

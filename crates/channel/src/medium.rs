@@ -44,13 +44,30 @@
 //! one antenna ([`Medium::move_antenna`]) re-draws and re-checks only the
 //! pairs touching that antenna (its own row plus one entry per other
 //! row), never the full matrix.
+//!
+//! # Receiver noise (keyed, read-order independent)
+//!
+//! Every receive slot — one (rx antenna, channel, block) — draws its noise
+//! from its own generator, seeded by a SplitMix64-style mix of
+//! `(medium seed, rx, channel, block index)`. From that stream a view
+//! takes, in a fixed order: the floor noise (two uniforms per sample),
+//! the impulse-interference decision and burst, then the fault storm's
+//! burst. The medium's main RNG keeps only build-time draws
+//! ([`Medium::build_links`], [`Medium::move_antenna`],
+//! [`Medium::fork_rng`]).
+//!
+//! So a view's samples do not depend on which views were read before it,
+//! or whether they were read at all. That is what lets
+//! [`Medium::receive_power`] answer a noise-only slot — nothing audible
+//! staged on the channel, no burst — from the key's radius uniforms alone
+//! (`floor · Σ(−ln u₁ᵢ)/block_len`), without synthesizing the block.
 
 use crate::fading::Fading;
 use crate::fault::FaultPlan;
 use crate::geometry::Placement;
 use crate::pathloss::PathlossModel;
-use hb_dsp::complex::C64;
-use hb_dsp::noise::white_noise_into;
+use hb_dsp::complex::{mean_power, C64};
+use hb_dsp::noise::{white_noise_into, NoiseSource};
 use hb_dsp::units::ratio_from_db;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,13 +140,14 @@ struct RxSlot {
     valid: bool,
 }
 
-/// Runtime state of an armed [`FaultPlan`]: the dedicated RNG stream plus
-/// the per-block burst counters. Present only when the plan perturbs the
-/// medium — the fault-free engine allocates none of this and draws
+/// Runtime state of an armed [`FaultPlan`]: the dedicated hazard stream
+/// plus the per-block burst counters. Present only when the plan perturbs
+/// the medium — the fault-free engine allocates none of this and draws
 /// nothing extra anywhere.
 struct FaultState {
     plan: FaultPlan,
-    /// Dedicated stream: fault draws never touch the medium's main RNG.
+    /// Dedicated hazard stream: exactly two draws per block. Storm noise
+    /// itself comes from the receive slot's keyed stream.
     rng: StdRng,
     /// Blocks remaining in the current gain-dropout burst (counting the
     /// current block).
@@ -285,7 +303,11 @@ pub struct Medium {
     cfo_phasors_len: usize,
     /// Set once any receive happens in the block; staging is then frozen.
     receiving: bool,
+    /// Build-time stream: link shadowing/fading and [`Medium::fork_rng`].
+    /// Receiver noise never draws from it (see the module docs).
     rng: StdRng,
+    /// The construction seed, mixed into every receive slot's noise key.
+    seed: u64,
 }
 
 impl Medium {
@@ -322,6 +344,7 @@ impl Medium {
             cfo_phasors_len: 0,
             receiving: false,
             rng: StdRng::seed_from_u64(seed),
+            seed,
         }
     }
 
@@ -423,10 +446,10 @@ impl Medium {
     /// Enables impulsive interference: with probability `prob`, a receiver
     /// sees an extra white burst at `power_dbm` for one block. The burst
     /// decision is drawn **independently per (receiver, channel, block)**
-    /// — impulsive interference is a local phenomenon (a microwave oven
-    /// near one antenna, an ISM neighbour near another), so no two
-    /// receivers share a burst. A fault-injection hook for robustness
-    /// experiments.
+    /// from that slot's keyed noise stream — impulsive interference is a
+    /// local phenomenon (a microwave oven near one antenna, an ISM
+    /// neighbour near another), so no two receivers share a burst. A
+    /// fault-injection hook for robustness experiments.
     pub fn set_impulse_noise(&mut self, prob: f64, power_dbm: f64) {
         assert!((0.0..=1.0).contains(&prob));
         self.impulse = Some((prob, ratio_from_db(power_dbm)));
@@ -637,6 +660,10 @@ impl Medium {
     /// for an (antenna, channel) computes the mixture in place; repeat
     /// calls within the block return the same buffer without copying. Zero
     /// heap allocations in steady state.
+    ///
+    /// The noise comes from the slot's own keyed stream (see the module
+    /// docs), so the samples are the same whatever other views were read
+    /// this block, and in whatever order.
     pub fn receive_view(&mut self, rx: AntennaId, channel: usize) -> &[C64] {
         assert!(
             channel < self.cfg.n_channels,
@@ -650,29 +677,27 @@ impl Medium {
         if self.rx_slots[slot_idx].valid {
             return &self.rx_slots[slot_idx].buf;
         }
+        let mut rng = self.noise_rng(rx, channel);
+        let storm = self.storm_power(channel);
         let slot = &mut self.rx_slots[slot_idx];
         slot.buf.resize(block_len, C64::ZERO);
         let buf = &mut slot.buf[..];
-        white_noise_into(&mut self.rng, buf, self.noise_floor[rx]);
-        // Impulsive interference: an independent draw per (receiver,
-        // channel, block) — see `set_impulse_noise`.
+        // The slot's keyed stream, in its fixed order: floor noise, the
+        // impulse decision and burst (see `set_impulse_noise`), the storm
+        // burst.
+        white_noise_into(&mut rng, buf, self.noise_floor[rx]);
         if let Some((prob, power)) = self.impulse {
-            if self.rng.gen::<f64>() < prob {
-                white_noise_into(&mut self.rng, &mut self.impulse_scratch, power);
+            if rng.gen::<f64>() < prob {
+                white_noise_into(&mut rng, &mut self.impulse_scratch, power);
                 for (v, &n) in buf.iter_mut().zip(self.impulse_scratch.iter()) {
                     *v += n;
                 }
             }
         }
-        // Impulse-noise storm fault: extra noise on the masked channels,
-        // drawn from the dedicated fault stream so the main stream's draw
-        // sequence is untouched even while the storm fires.
-        if let Some(f) = self.fault.as_mut() {
-            if f.storm_left > 0 && channel < 16 && (f.plan.storm_channel_mask >> channel) & 1 == 1 {
-                white_noise_into(&mut f.rng, &mut self.impulse_scratch, f.storm_power);
-                for (v, &n) in buf.iter_mut().zip(self.impulse_scratch.iter()) {
-                    *v += n;
-                }
+        if let Some(power) = storm {
+            white_noise_into(&mut rng, &mut self.impulse_scratch, power);
+            for (v, &n) in buf.iter_mut().zip(self.impulse_scratch.iter()) {
+                *v += n;
             }
         }
         // Gain-dropout fault: one real amplitude scale on every staged
@@ -749,6 +774,72 @@ impl Medium {
         &self.rx_slots[slot_idx].buf
     }
 
+    /// The mean power of the view [`Medium::receive_view`] returns for
+    /// `(rx, channel)` this block. Freezes staging like a receive.
+    ///
+    /// On a *noise-only* slot — no staged transmission on `channel` is
+    /// audible at `rx` with a non-zero gain, no impulse burst fires for
+    /// the slot's key and no storm covers the channel — it is computed
+    /// from the key's radius uniforms
+    /// ([`NoiseSource::fill_mean_power`]): no buffer, no `sqrt`/`sincos`,
+    /// and the same bits whether or not the view was already
+    /// materialized. It matches `mean_power(receive_view)` to within 1e-9
+    /// relative. Any other slot returns exactly that.
+    pub fn receive_power(&mut self, rx: AntennaId, channel: usize) -> f64 {
+        assert!(
+            channel < self.cfg.n_channels,
+            "channel {channel} out of range"
+        );
+        assert!(rx < self.placements.len(), "unknown antenna {rx}");
+        self.receiving = true;
+        if self.storm_power(channel).is_none() && !self.signal_audible(rx, channel) {
+            let mut rng = self.noise_rng(rx, channel);
+            let floor = NoiseSource::new(self.noise_floor[rx])
+                .fill_mean_power(&mut rng, self.cfg.block_len);
+            let burst = self
+                .impulse
+                .is_some_and(|(prob, _)| rng.gen::<f64>() < prob);
+            if !burst {
+                return floor;
+            }
+        }
+        mean_power(self.receive_view(rx, channel))
+    }
+
+    /// True when some staged transmission on `channel` reaches `rx`: the
+    /// pair is audible and its gain is non-zero (the mixture loop's skip
+    /// conditions, negated).
+    fn signal_audible(&self, rx: AntennaId, channel: usize) -> bool {
+        let n = self.placements.len();
+        let audible = &self.audible[rx * n..(rx + 1) * n];
+        self.staged_by_channel[channel].iter().any(|&i| {
+            let tx = self.staged[i as usize].tx;
+            audible[tx] && self.gains[tx * n + rx] != C64::ZERO
+        })
+    }
+
+    /// The storm's noise power on `channel` this block, if a storm is
+    /// active and its mask covers the channel.
+    fn storm_power(&self, channel: usize) -> Option<f64> {
+        self.fault
+            .as_ref()
+            .filter(|f| {
+                f.storm_left > 0 && channel < 16 && (f.plan.storm_channel_mask >> channel) & 1 == 1
+            })
+            .map(|f| f.storm_power)
+    }
+
+    /// The keyed noise stream of receive slot `(rx, channel)` in the
+    /// current block.
+    fn noise_rng(&self, rx: AntennaId, channel: usize) -> StdRng {
+        StdRng::seed_from_u64(noise_key(
+            self.seed,
+            rx as u64,
+            channel as u64,
+            self.block_index,
+        ))
+    }
+
     /// True if any transmission is staged on `channel` this block
     /// (omniscient view — used by tests and by the observer harness, not by
     /// in-world devices). At a finite cull margin, transmitters audible at
@@ -803,11 +894,28 @@ impl Medium {
         self.fault.as_ref().is_some_and(|f| f.storm_left > 0)
     }
 
-    /// Direct access to the medium's RNG (for device models that want to
-    /// derive seeds deterministically from the scenario seed).
+    /// Direct access to the medium's build-time RNG (for device models
+    /// that want to derive seeds deterministically from the scenario
+    /// seed).
     pub fn fork_rng(&mut self) -> StdRng {
         StdRng::seed_from_u64(self.rng.gen())
     }
+}
+
+/// The noise key of one receive slot: a chain of SplitMix64 finalizers over
+/// `(seed, rx, channel, block)`, in the spirit of the Monte-Carlo engine's
+/// `trial_seed`. Each step is a bijection of the running state, so slots
+/// differing in any coordinate get decorrelated seeds; the domain constant
+/// keeps the keys apart from the main stream, which is seeded by `seed`.
+fn noise_key(seed: u64, rx: u64, channel: u64, block: u64) -> u64 {
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let z = mix(seed ^ 0x6E01_5E5E_ED00_0001);
+    mix(mix(mix(z ^ rx) ^ channel) ^ block)
 }
 
 /// Accumulates one surviving pair into the mixture: `dst[i] += src[i]·g`.

@@ -9,7 +9,7 @@ use hb_channel::txsched::TxScheduler;
 use hb_dsp::complex::C64;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     /// Pathloss is monotone non-decreasing in distance.
@@ -285,11 +285,11 @@ proptest! {
     /// Faults-off ≡ today, and the fault stream is isolated: a medium with
     /// an armed storm plan is *bit-identical* to its unarmed twin on every
     /// channel outside the storm mask, across multiple blocks. The armed
-    /// plan draws its hazards and storm noise from a dedicated stream, so
-    /// the main stream's draw sequence — and therefore every receive the
-    /// faults don't touch — matches the fault-free engine exactly. (The
-    /// default `FaultPlan::none()` config doesn't even arm the state, so
-    /// it is a fortiori bit-identical to the pre-fault engine.)
+    /// plan draws its hazards from a dedicated stream and its storm noise
+    /// after the slot's floor draws, so every receive the faults don't
+    /// touch matches the fault-free engine exactly. (The default
+    /// `FaultPlan::none()` config doesn't even arm the state, so it is a
+    /// fortiori bit-identical to the pre-fault engine.)
     #[test]
     fn armed_fault_stream_is_isolated_from_main_stream(
         seed in any::<u64>(),
@@ -331,7 +331,7 @@ proptest! {
                 prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
             // On the masked channel the storm adds power on top of the
-            // *same* main-stream noise draw. (A burst runs down before the
+            // *same* floor noise draw. (A burst runs down before the
             // next can start, so one block in `storm_len_blocks + 1` is
             // storm-free even at start probability 1.)
             let pc = hb_dsp::complex::mean_power(&clean.receive(1, storm_ch));
@@ -397,4 +397,163 @@ proptest! {
             );
         }
     }
+
+    /// Receiver noise is keyed per (antenna, channel, block): reading one
+    /// block's views in a random (rx, ch) permutation — with some levels
+    /// probed through `receive_power` first — gives views bit-identical to
+    /// canonical order, with impulse noise and an active storm in play.
+    #[test]
+    fn views_are_read_order_independent(
+        seed in any::<u64>(),
+        n in 2usize..5,
+        order_seed in any::<u64>(),
+        storm_mask in any::<u16>(),
+        blocks in 1usize..4,
+    ) {
+        let cfg = MediumConfig {
+            fault: FaultPlan {
+                storm_start_prob: 1.0,
+                storm_len_blocks: 8,
+                storm_power_dbm: -70.0,
+                storm_channel_mask: storm_mask,
+                ..FaultPlan::none()
+            },
+            ..Default::default()
+        };
+        let build = || {
+            let mut m = Medium::new(cfg, seed);
+            for i in 0..n {
+                m.add_antenna(Placement::los("ant", 2.0 * i as f64, 0.0));
+            }
+            m.build_links(&PathlossModel::mics_indoor(), Fading::Rayleigh);
+            m.set_cfo_hz(0, 1500.0);
+            m.set_impulse_noise(0.4, -75.0);
+            m
+        };
+        let (mut canon, mut shuffled) = (build(), build());
+        let channels = canon.config().n_channels;
+        let slots: Vec<(usize, usize)> = (0..n)
+            .flat_map(|rx| (0..channels).map(move |ch| (rx, ch)))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(order_seed);
+        let wave = vec![C64::new(1e-4, -2e-4); 16];
+        for b in 0..blocks {
+            for m in [&mut canon, &mut shuffled] {
+                prop_assert!(m.fault_storm_active());
+                m.transmit(0, b % channels, &wave);
+                m.transmit(n - 1, 3, &wave);
+            }
+            let want: Vec<Vec<C64>> = slots.iter().map(|&(rx, ch)| canon.receive(rx, ch)).collect();
+            let mut order: Vec<usize> = (0..slots.len()).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+            for &i in order.iter().step_by(3) {
+                shuffled.receive_power(slots[i].0, slots[i].1);
+            }
+            let mut got = vec![Vec::new(); slots.len()];
+            for &i in &order {
+                got[i] = shuffled.receive(slots[i].0, slots[i].1);
+            }
+            for (k, (w, g)) in want.iter().zip(&got).enumerate() {
+                for (a, c) in w.iter().zip(g) {
+                    prop_assert!(
+                        a.re.to_bits() == c.re.to_bits() && a.im.to_bits() == c.im.to_bits(),
+                        "slot {:?} differs by read order", slots[k]
+                    );
+                }
+            }
+            canon.end_block();
+            shuffled.end_block();
+        }
+    }
+
+    /// `receive_power` is the view's mean power. On noise-only slots (a
+    /// transmitter staged on another channel, one with zero gain on this
+    /// one) it comes from the key's radius uniforms: within 1e-9 relative
+    /// of `mean_power(receive_view)`, and the same bits before and after
+    /// the view is materialized. Impulse bursts take the view path.
+    #[test]
+    fn receive_power_matches_the_view(
+        seed in any::<u64>(),
+        floor_dbm in -120.0f64..-60.0,
+        blocks in 1usize..8,
+    ) {
+        let mut m = Medium::new(MediumConfig::default(), seed);
+        let tx = m.add_antenna(Placement::los("tx", 0.0, 0.0));
+        let deaf = m.add_antenna(Placement::los("deaf", 1.0, 0.0));
+        let rx = m.add_antenna(Placement::los("rx", 2.0, 0.0));
+        m.set_gain(tx, rx, C64::new(1e-3, 0.0));
+        m.set_noise_floor_dbm(rx, floor_dbm);
+        m.set_impulse_noise(0.2, floor_dbm + 20.0);
+        let wave = vec![C64::ONE; 16];
+        for _ in 0..blocks {
+            m.transmit(tx, 1, &wave);
+            m.transmit(deaf, 2, &wave);
+            for ch in [0, 2] {
+                let before = m.receive_power(rx, ch);
+                let view = hb_dsp::complex::mean_power(m.receive_view(rx, ch));
+                let after = m.receive_power(rx, ch);
+                prop_assert!((before - view).abs() <= 1e-9 * view, "{before} vs {view}");
+                prop_assert_eq!(before.to_bits(), after.to_bits());
+            }
+            // A slot with signal is exactly the view's mean power.
+            let view = hb_dsp::complex::mean_power(m.receive_view(rx, 1));
+            prop_assert_eq!(m.receive_power(rx, 1).to_bits(), view.to_bits());
+            m.end_block();
+        }
+    }
+
+    /// Distribution of the noise-only fast path: the mean power of 16
+    /// circular Gaussian samples over the floor is Γ(16, 1/16). A
+    /// Kolmogorov–Smirnov test over 2000 slots (antennas × channels ×
+    /// blocks) at a 1e-6 false-alarm level.
+    #[test]
+    fn noise_only_receive_power_is_gamma_16(
+        seed in any::<u64>(),
+        floor_dbm in -120.0f64..-60.0,
+    ) {
+        let mut m = Medium::new(MediumConfig::default(), seed);
+        for i in 0..4 {
+            let a = m.add_antenna(Placement::los("ant", i as f64, 0.0));
+            m.set_noise_floor_dbm(a, floor_dbm);
+        }
+        let floor = hb_dsp::units::ratio_from_db(floor_dbm);
+        let block_len = m.config().block_len;
+        prop_assert_eq!(block_len, 16);
+        let mut xs = Vec::new();
+        for _ in 0..50 {
+            for rx in 0..4 {
+                for ch in 0..10 {
+                    xs.push(m.receive_power(rx, ch) / floor);
+                }
+            }
+            m.end_block();
+        }
+        xs.sort_by(f64::total_cmp);
+        let count = xs.len() as f64;
+        let d = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| {
+                let f = gamma_cdf_16(x);
+                (f - i as f64 / count).max((i + 1) as f64 / count - f)
+            })
+            .fold(0.0, f64::max);
+        // P(√n·D > 2.7) ≈ 2e-6 under the null.
+        prop_assert!(d * count.sqrt() < 2.7, "KS statistic {d} over {count} slots");
+    }
+}
+
+/// CDF of Γ(shape 16, scale 1/16) — the mean of 16 unit exponentials —
+/// via the integer-shape series `1 − e^{−y} Σ_{i<16} yⁱ/i!`, `y = 16x`.
+fn gamma_cdf_16(x: f64) -> f64 {
+    let y = 16.0 * x;
+    let mut term = 1.0;
+    let mut sum = 1.0;
+    for i in 1..16 {
+        term *= y / i as f64;
+        sum += term;
+    }
+    1.0 - (-y).exp() * sum
 }

@@ -11,7 +11,12 @@
 //!   exploiting the fact that the IMD answers blindly on a fixed schedule;
 //! * **jams unauthorized commands** — a wideband monitor watches every
 //!   MICS channel for the protected device's identifying sequence `Sid`
-//!   (within `bthresh` bit errors) and jams until the signal stops (§7);
+//!   (within `bthresh` bit errors) and jams until the signal stops (§7).
+//!   Off the session channel a per-block squelch gates the demodulator:
+//!   it compares the block's mean power
+//!   ([`Medium::receive_power`]) against `squelch_dbm`, and only an open
+//!   squelch reads the samples — an idle channel costs no synthesized
+//!   noise;
 //! * **guards its own transmissions** — any signal concurrent with the
 //!   shield's own relay transmission triggers an immediate switch to
 //!   jamming, so an adversary cannot overwrite the shield's messages (§7);
@@ -31,7 +36,6 @@ use hb_imd::commands::{Command, Response};
 use hb_mics::timing::ReplyTiming;
 use hb_phy::fsk::{FskModem, FskParams};
 use hb_phy::packet::{identifying_sequence, Frame, FrameType, Serial};
-use hb_phy::rssi::EnergyDetector;
 use hb_phy::stream::{DetectorEvent, SidMonitor, StreamingDetector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -310,8 +314,6 @@ pub struct Shield {
     modem: FskModem,
     frame_detector: StreamingDetector,
     sid_monitors: Vec<SidMonitor>,
-    /// Per-channel squelch trackers for the wideband monitor.
-    squelch: Vec<EnergyDetector>,
     session: SecureSession,
     own_tx: Option<OwnTx>,
     /// Passive jam window on the session channel: (start, end).
@@ -372,9 +374,6 @@ impl Shield {
         let sid_monitors = (0..cfg.monitored_channels)
             .map(|_| SidMonitor::new(cfg.fsk, sid.clone(), cfg.bthresh))
             .collect();
-        let squelch = (0..cfg.monitored_channels)
-            .map(|_| EnergyDetector::new(cfg.squelch_dbm, 16))
-            .collect();
 
         let mut stats = ShieldStats::default();
         stats.cancellation_db.push(fd.cancellation_db());
@@ -386,7 +385,6 @@ impl Shield {
             modem: FskModem::new(cfg.fsk),
             frame_detector: StreamingDetector::new(cfg.fsk, 4),
             sid_monitors,
-            squelch,
             session: SecureSession::shield_side(cfg.session_key),
             own_tx: None,
             passive_window: None,
@@ -859,19 +857,18 @@ impl Node for Shield {
         }
 
         // --- Wideband monitor over the other channels (§7(c)) ---
+        // A channel we are jamming is watched by the maintenance pass
+        // below; elsewhere the squelch decides once per block, and only an
+        // open squelch reads the samples.
+        let squelch_power = ratio_from_db(self.cfg.squelch_dbm);
         for ch in 0..self.cfg.monitored_channels {
             if ch == self.cfg.session_channel {
                 continue;
             }
-            let rx_c = medium.receive_view(self.rx_ant, ch);
-            let jamming_here = self.active.contains_key(&ch);
-            let busy_level = db_from_ratio(mean_power(rx_c).max(1e-30));
-            let squelch_open = self.squelch[ch].push_block(rx_c)
-                || (jamming_here
-                    && busy_level
-                        > self.expected_residual_dbm(self.cfg.active_jam_power_dbm)
-                            + self.cfg.idle_margin_db);
-            if squelch_open && !jamming_here {
+            let squelch_open = !self.active.contains_key(&ch)
+                && medium.receive_power(self.rx_ant, ch) > squelch_power;
+            if squelch_open {
+                let rx_c = medium.receive_view(self.rx_ant, ch);
                 if let Some(det) = self.sid_monitors[ch].push_block(rx_c) {
                     let rssi = db_from_ratio(det.mean_power.max(1e-30));
                     self.stats.sid_detections += 1;
@@ -905,8 +902,7 @@ impl Node for Shield {
         let mut finished: Vec<usize> = Vec::new();
         let channels: Vec<usize> = self.active.keys().copied().collect();
         for ch in channels {
-            let rx_c = medium.receive_view(self.rx_ant, ch);
-            let level = db_from_ratio(mean_power(rx_c).max(1e-30));
+            let level = db_from_ratio(medium.receive_power(self.rx_ant, ch).max(1e-30));
             let busy_threshold = self
                 .expected_residual_dbm(self.cfg.active_jam_power_dbm)
                 .max(self.cfg.squelch_dbm)

@@ -32,7 +32,7 @@
 /// `atanh`-series polynomial. `#[inline(always)]` so the batch loops fuse
 /// it into straight-line, autovectorizable bodies.
 #[inline(always)]
-fn ln_core(x: f64) -> f64 {
+pub(crate) fn ln_core(x: f64) -> f64 {
     const LN2: f64 = std::f64::consts::LN_2;
     let bits = x.to_bits();
     let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;

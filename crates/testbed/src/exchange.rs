@@ -25,9 +25,10 @@
 //!   shield *and* the implant onto it and carries the exchange to
 //!   completion there.
 //!
-//! Drivers add no RNG of their own, and the shield drivers only read
-//! receive views the shield already cached, so runs are bit-reproducible
-//! for a given scenario seed and fault plan.
+//! Drivers add no RNG of their own, and receiver noise is keyed per
+//! (antenna, channel, block), so a driver's reads cannot perturb the
+//! devices' views: runs are bit-reproducible for a given scenario seed and
+//! fault plan.
 
 use crate::scenario::Scenario;
 use hb_channel::medium::{AntennaId, Medium};
@@ -162,9 +163,10 @@ pub(crate) fn listen(
         return;
     }
     let block_s = medium.config().block_len as f64 / medium.config().fs_hz;
-    let view = medium.receive_view(antenna, channel);
-    let mean_mw = view.iter().map(|c| c.norm_sq()).sum::<f64>() / view.len().max(1) as f64;
-    negotiator.observe(db_from_ratio(mean_mw), block_s);
+    negotiator.observe(
+        db_from_ratio(medium.receive_power(antenna, channel)),
+        block_s,
+    );
 }
 
 fn shield_of(scenario: &mut Scenario) -> Result<&mut Shield, ExchangeError> {

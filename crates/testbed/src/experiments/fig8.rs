@@ -35,42 +35,6 @@ pub struct Fig8Result {
     pub artifact: Artifact,
 }
 
-/// Runs one margin point; returns (eavesdropper BER, shield PER).
-pub fn run_margin_point(margin_db: f64, packets: usize, seed: u64) -> (f64, f64) {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.jam_margin_db = Some(margin_db);
-    let mut builder = ScenarioBuilder::new(cfg);
-    let eve_ant = builder.add_at_location(1, "eavesdropper");
-    let mut scenario = builder.build();
-    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut bit_errors = 0usize;
-    let mut bits_total = 0usize;
-    let mut replies_sent = 0u64;
-    for _ in 0..packets {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            bit_errors += (ber * record.bits.len() as f64).round() as usize;
-            bits_total += record.bits.len();
-            replies_sent += 1;
-        }
-        eve.clear();
-    }
-    let decoded_at_shield = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-    let ber = if bits_total > 0 {
-        bit_errors as f64 / bits_total as f64
-    } else {
-        0.5
-    };
-    let per = if replies_sent > 0 {
-        1.0 - decoded_at_shield as f64 / replies_sent as f64
-    } else {
-        1.0
-    };
-    (ber, per.max(0.0))
-}
-
 /// One adaptive trial at `margin_db`: a fresh scenario from the derived
 /// seed, [`PACKETS_PER_TRIAL`] exchanges, raw counts out —
 /// `[(bit_errors, bits), (frames_lost, frames_sent)]` for the engine to

@@ -32,39 +32,6 @@ pub struct Fig9Result {
     pub artifact: Artifact,
 }
 
-/// Measures the eavesdropper BER at one location over `packets` exchanges.
-/// Alternates the protected device between the Virtuoso and Concerto
-/// profiles by seed, pooling both as the paper does (§10).
-pub fn ber_at_location(location: usize, packets: usize, seed: u64) -> f64 {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        crate::scenario::ImdModel::VirtuosoIcd
-    } else {
-        crate::scenario::ImdModel::ConcertoCrt
-    };
-    let mut builder = ScenarioBuilder::new(cfg);
-    let eve_ant = builder.add_at_location(location, "eavesdropper");
-    let mut scenario = builder.build();
-    let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut errors = 0usize;
-    let mut total = 0usize;
-    for _ in 0..packets {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            errors += (ber * record.bits.len() as f64).round() as usize;
-            total += record.bits.len();
-        }
-        eve.clear();
-    }
-    if total == 0 {
-        0.5
-    } else {
-        errors as f64 / total as f64
-    }
-}
-
 /// One adaptive trial at `location`: a fresh scenario from the derived
 /// seed (fresh shadowing; IMD model alternates by seed parity, pooling
 /// both devices as the paper does), [`PACKETS_PER_TRIAL`] exchanges,

@@ -23,10 +23,17 @@
 //! ```
 //!
 //! which prints ready-to-paste `const GOLDEN_…` lines instead of failing;
-//! paste them over the constants at the bottom of this file. The current
-//! constants were captured on the PR-4 engine (batched paired Box–Muller
-//! noise + phase-recurrence oscillators); PR 1–3 pinned the seed engine's
-//! per-sample Box–Muller stream.
+//! paste them over the constants at the bottom of this file.
+//!
+//! The constants have been re-pinned twice:
+//!
+//! 1. from the seed engine's per-sample Box–Muller stream to batched
+//!    paired Box–Muller noise and phase-recurrence oscillators;
+//! 2. to receiver noise keyed per (antenna, channel, block), which is
+//!    read-order independent, with the shield's idle monitored channels
+//!    squelched from `Medium::receive_power` instead of synthesized. The
+//!    Fig. 8/9 pins moved onto the Monte-Carlo (`_ci`) entry points at
+//!    [`golden_effort`] at the same time.
 
 use hb_adversary::active::AttackerConfig;
 use hb_channel::geometry::Placement;
@@ -37,7 +44,7 @@ use hb_imd::commands::Command;
 use hb_testbed::defense::DEFENSES;
 use hb_testbed::exchange::{run_exchange, ArqDriver};
 use hb_testbed::experiments::fig11::{success_probability, AttackGoal};
-use hb_testbed::experiments::{fig8, fig9, resilience};
+use hb_testbed::experiments::{fig8, fig9, resilience, Effort};
 use hb_testbed::scenario::{ScenarioBuilder, ScenarioConfig};
 
 mod common;
@@ -85,25 +92,47 @@ fn assert_matches_golden(label: &str, measured: f64, expected: f64) {
     );
 }
 
+/// The fixed effort of the Monte-Carlo pins: a half-width target of zero
+/// is never met, so every point runs to its cap of 4 trials (8 exchanges)
+/// whatever the estimates do.
+fn golden_effort() -> Effort {
+    Effort {
+        ci_half_width: 0.0,
+        mc_max_trials: 4,
+        ..Effort::tiny()
+    }
+}
+
+/// One Fig. 8 margin point, single-worker: (BER mean, PER mean).
+fn fig8_point(margin_db: f64, seed: u64) -> (f64, f64) {
+    let (ber, per) = fig8::run_margin_point_ci_with(1, margin_db, &golden_effort(), seed);
+    (ber.mean, per.mean)
+}
+
+/// One Fig. 9 location, single-worker: the BER mean.
+fn fig9_location(location: usize, seed: u64) -> f64 {
+    fig9::ber_at_location_ci_with(1, location, &golden_effort(), seed).mean
+}
+
 #[test]
 fn golden_fig8_operating_point() {
     // The paper's +20 dB operating point: adversary guesses, shield decodes.
-    let (ber, per) = fig8::run_margin_point(20.0, 6, 7);
+    let (ber, per) = fig8_point(20.0, 7);
     assert_bits("GOLDEN_FIG8_20DB_BER", ber, GOLDEN_FIG8_20DB_BER);
     assert_bits("GOLDEN_FIG8_20DB_PER", per, GOLDEN_FIG8_20DB_PER);
 }
 
 #[test]
 fn golden_fig8_low_margin() {
-    let (ber, per) = fig8::run_margin_point(0.0, 6, 11);
+    let (ber, per) = fig8_point(0.0, 11);
     assert_bits("GOLDEN_FIG8_0DB_BER", ber, GOLDEN_FIG8_0DB_BER);
     assert_bits("GOLDEN_FIG8_0DB_PER", per, GOLDEN_FIG8_0DB_PER);
 }
 
 #[test]
 fn golden_fig9_locations() {
-    let near = fig9::ber_at_location(1, 3, 3);
-    let far = fig9::ber_at_location(13, 3, 16);
+    let near = fig9_location(1, 3);
+    let far = fig9_location(13, 16);
     assert_bits("GOLDEN_FIG9_LOC1_BER", near, GOLDEN_FIG9_LOC1_BER);
     assert_bits("GOLDEN_FIG9_LOC13_BER", far, GOLDEN_FIG9_LOC13_BER);
 }
@@ -176,7 +205,7 @@ fn golden_sweep_is_thread_count_invariant() {
     let locations = [1usize, 7, 13, 18];
     let task = |loc: usize| {
         let seed = if loc == 1 { 3 } else { 16 };
-        fig9::ber_at_location(loc, 3, seed)
+        fig9_location(loc, seed)
     };
     let sequential = hb_testbed::parallel::parallel_map_with(1, &locations, |_, &l| task(l));
     let threaded = hb_testbed::parallel::parallel_map_with(4, &locations, |_, &l| task(l));
@@ -273,24 +302,23 @@ fn golden_defended_exchanges() {
     );
 }
 
-// --- Golden values, captured with HB_BLESS=1 on the PR-4 engine ---
-// (batched paired Box–Muller NoiseSource + phase-recurrence oscillators;
-// previous constants pinned the seed engine's per-sample Box–Muller.)
+// --- Golden values, captured with HB_BLESS=1 on the keyed-noise engine
+// (per-slot noise streams, per-block shield squelch) ---
 
-const GOLDEN_FIG8_20DB_BER: f64 = 0.525;
+const GOLDEN_FIG8_20DB_BER: f64 = 0.495625;
 const GOLDEN_FIG8_20DB_PER: f64 = 0.0;
-const GOLDEN_FIG8_0DB_BER: f64 = 0.39416666666666667;
+const GOLDEN_FIG8_0DB_BER: f64 = 0.345625;
 const GOLDEN_FIG8_0DB_PER: f64 = 0.0;
-const GOLDEN_FIG9_LOC1_BER: f64 = 0.495;
-const GOLDEN_FIG9_LOC13_BER: f64 = 0.4683333333333333;
+const GOLDEN_FIG9_LOC1_BER: f64 = 0.4925;
+const GOLDEN_FIG9_LOC13_BER: f64 = 0.504375;
 const GOLDEN_FIG11_LOC7_ABSENT: f64 = 1.0;
 const GOLDEN_FIG11_LOC7_PRESENT: f64 = 0.0;
-const GOLDEN_MEDIUM_ACC_RE: f64 = -36.98071628594399;
-const GOLDEN_MEDIUM_ACC_IM: f64 = 758.3916918838473;
-const GOLDEN_MEDIUM_ACC_POW: f64 = 10372.866069730535;
+const GOLDEN_MEDIUM_ACC_RE: f64 = -36.954170640264024;
+const GOLDEN_MEDIUM_ACC_IM: f64 = 758.3838295527918;
+const GOLDEN_MEDIUM_ACC_POW: f64 = 10372.848928109199;
 
-// --- Exchange-driver pins, captured before the three exchange block loops
-// were folded into one driver (no engine-numeric change since PR 4) ---
+// --- Exchange-driver pins: the ARQ driver under faults and one clean
+// exchange per defense ---
 
 const GOLDEN_ARQ_FAULTY: [(bool, u32, u32, u64, usize, u64); 3] = [
     (true, 4, 3, 5333, 0, 4562023175217470068),
@@ -317,7 +345,7 @@ const GOLDEN_DEFENDED_EXCHANGES: [common::Pin; 3] = [
         true,
     ),
     (
-        5382133448942839958,
+        2640760401444115939,
         1,
         (1, 1, 0, 0, 1, 0),
         [1, 1, 0, 1, 2250],

@@ -163,6 +163,37 @@ fn concurrent_transmission_triggers_jamming() {
     assert_eq!(scenario.imd.stats.commands_executed, 0);
 }
 
+/// §7(c): the wideband monitor watches every MICS channel, not just the
+/// session channel. A forged command on another channel opens that
+/// channel's per-block squelch, its `Sid` is detected there, and the
+/// shield jams that channel.
+#[test]
+fn off_session_channel_command_is_jammed() {
+    use heartbeats::shield::shield::{JamReason, ShieldEventKind};
+    let mut builder = ScenarioBuilder::new(ScenarioConfig::paper(77));
+    let atk_ant = builder.add_at_location(2, "atk");
+    let mut scenario = builder.build();
+    let mut atk = ActiveAttacker::new(AttackerConfig::commercial_programmer(), atk_ant);
+    let ch = scenario.channel() + 3;
+    let serial = scenario.imd.config().serial;
+    atk.send_forged_command(64, ch, serial, Command::Interrogate);
+    scenario.run_seconds(&mut [&mut atk as &mut dyn Node], 0.05);
+
+    let shield = scenario.shield.as_ref().unwrap();
+    let detected = shield
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, ShieldEventKind::SidDetected { channel, .. } if channel == ch));
+    let jammed = shield.events.iter().any(|e| {
+        matches!(
+            e.kind,
+            ShieldEventKind::JamStart { channel, reason: JamReason::Active } if channel == ch
+        )
+    });
+    assert!(detected, "Sid on channel {ch} must be detected");
+    assert!(jammed, "channel {ch} must be actively jammed");
+}
+
 /// The encrypted channel rejects replays end to end (an adversary
 /// re-sending a captured sealed command gets nowhere).
 #[test]
