@@ -264,6 +264,26 @@ fn main() {
         ));
     }
     {
+        // The half-duplex receive path: the detector hears silence while
+        // its own radio transmits. Drained first (the wave, then enough
+        // silence to finish any frame), so this times the steady state.
+        let mut det = StreamingDetector::new(FskParams::mics_default(), 4);
+        for block in wave.chunks(16) {
+            det.push_block(block);
+        }
+        det.push_silence(wave.len());
+        timings.push(time_kernel(
+            "detector_silence_24k",
+            "push 24576 silent samples (16-sample blocks) through the drained detector",
+            10 * scale,
+            move || {
+                for _ in 0..24_576 / 16 {
+                    std::hint::black_box(det.push_silence(16).len());
+                }
+            },
+        ));
+    }
+    {
         // The raw blocked MAC stage alone (stage (a) of the detector):
         // isolates the correlator kernel from the per-symbol state machine.
         // `detection_correlator` is the exact constructor the production
@@ -409,9 +429,9 @@ fn main() {
     {
         // The shield's wideband monitor on a quiet band: one block of
         // produce + consume + end_block for a lone shield whose 9
-        // non-session monitored channels carry nothing. The squelch reads
-        // their levels through `Medium::receive_power`, so no idle noise
-        // is synthesized — this is the layer-level number for that path.
+        // non-session monitored channels carry nothing. The squelch
+        // decides them through `Medium::squelch_open`, so no idle noise is
+        // synthesized — this is the layer-level number for that path.
         let mut m = Medium::new(MediumConfig::default(), 42);
         let cfg = ShieldConfig::paper_defaults(Serial::from_str_padded("VIRTUOSO01"), 0);
         let mut shield = Shield::install(cfg, &mut m, (0.0, 0.0), 7);

@@ -60,7 +60,9 @@
 //! or whether they were read at all. That is what lets
 //! [`Medium::receive_power`] answer a noise-only slot — nothing audible
 //! staged on the channel, no burst — from the key's radius uniforms alone
-//! (`floor · Σ(−ln u₁ᵢ)/block_len`), without synthesizing the block.
+//! (`floor · Σ(−ln u₁ᵢ)/block_len`), without synthesizing the block, and
+//! lets [`Medium::squelch_open`] close a squelch on such a slot from the
+//! same draws without even the `ln`.
 
 use crate::fading::Fading;
 use crate::fault::FaultPlan;
@@ -293,6 +295,8 @@ pub struct Medium {
     dirty_slots: Vec<u32>,
     /// Scratch for the impulse-noise burst.
     impulse_scratch: Vec<C64>,
+    /// Scratch: a noise-only slot's radius draws (see `quiet_radii`).
+    radii: Vec<u64>,
     /// Per-block cache of CFO rotator phasors, keyed by the bit pattern of
     /// the relative offset `Δf`: every link sharing a `Δf` reuses the same
     /// per-sample phasors instead of recomputing `C64::cis` per sample.
@@ -340,6 +344,7 @@ impl Medium {
             rx_slots: Vec::new(),
             dirty_slots: Vec::new(),
             impulse_scratch: vec![C64::ZERO; cfg.block_len],
+            radii: Vec::with_capacity(cfg.block_len),
             cfo_phasors: Vec::new(),
             cfo_phasors_len: 0,
             receiving: false,
@@ -780,30 +785,64 @@ impl Medium {
     /// On a *noise-only* slot — no staged transmission on `channel` is
     /// audible at `rx` with a non-zero gain, no impulse burst fires for
     /// the slot's key and no storm covers the channel — it is computed
-    /// from the key's radius uniforms
-    /// ([`NoiseSource::fill_mean_power`]): no buffer, no `sqrt`/`sincos`,
+    /// from the key's radius uniforms ([`NoiseSource::draw_radii`],
+    /// [`NoiseSource::mean_power_of_radii`]): no buffer, no `sqrt`/`sincos`,
     /// and the same bits whether or not the view was already
     /// materialized. It matches `mean_power(receive_view)` to within 1e-9
     /// relative. Any other slot returns exactly that.
     pub fn receive_power(&mut self, rx: AntennaId, channel: usize) -> f64 {
+        if self.quiet_radii(rx, channel) {
+            return NoiseSource::new(self.noise_floor[rx]).mean_power_of_radii(&self.radii);
+        }
+        mean_power(self.receive_view(rx, channel))
+    }
+
+    /// A squelch decision: exactly `receive_power(rx, channel) >
+    /// threshold` (linear power, 1.0 ≡ 0 dBm), usually without the `ln`.
+    /// Freezes staging like a receive.
+    ///
+    /// A radius uniform is `u = k·2⁻⁵³` for the draw's top 53 bits `k`, so
+    /// when no `k` is zero every `u ≥ 2⁻⁵³`, each `−ln u ≤ 53 ln 2`, and a
+    /// noise-only slot's power is at most `floor · 53 ln 2`. When that
+    /// bound (with a `1e-6` relative guard, far above the fold's ~1e-15
+    /// rounding) is below `threshold`, the squelch is closed after the
+    /// slot's draws and the bit test alone. At the default −112 dBm floor
+    /// the bound is −96.4 dBm, under the shield's −95 dBm squelch. Any
+    /// other slot or threshold computes `receive_power`.
+    pub fn squelch_open(&mut self, rx: AntennaId, channel: usize, threshold: f64) -> bool {
+        if self.quiet_radii(rx, channel) {
+            let floor = self.noise_floor[rx];
+            let bound = floor * 53.0 * std::f64::consts::LN_2 * (1.0 + 1e-6);
+            if bound < threshold && self.radii.iter().all(|&r| r >> 11 != 0) {
+                return false;
+            }
+            return NoiseSource::new(floor).mean_power_of_radii(&self.radii) > threshold;
+        }
+        mean_power(self.receive_view(rx, channel)) > threshold
+    }
+
+    /// The noise-only test and draws behind [`Medium::receive_power`] and
+    /// [`Medium::squelch_open`]. A slot is noise-only when no staged
+    /// transmission on `channel` reaches `rx` with a non-zero gain, no
+    /// storm covers the channel and no impulse burst fires for its key.
+    /// For such a slot this leaves the key's radius draws in `self.radii`
+    /// and returns true; otherwise it returns false. Freezes staging.
+    fn quiet_radii(&mut self, rx: AntennaId, channel: usize) -> bool {
         assert!(
             channel < self.cfg.n_channels,
             "channel {channel} out of range"
         );
         assert!(rx < self.placements.len(), "unknown antenna {rx}");
         self.receiving = true;
-        if self.storm_power(channel).is_none() && !self.signal_audible(rx, channel) {
-            let mut rng = self.noise_rng(rx, channel);
-            let floor = NoiseSource::new(self.noise_floor[rx])
-                .fill_mean_power(&mut rng, self.cfg.block_len);
-            let burst = self
-                .impulse
-                .is_some_and(|(prob, _)| rng.gen::<f64>() < prob);
-            if !burst {
-                return floor;
-            }
+        if self.storm_power(channel).is_some() || self.signal_audible(rx, channel) {
+            return false;
         }
-        mean_power(self.receive_view(rx, channel))
+        let mut rng = self.noise_rng(rx, channel);
+        self.radii.clear();
+        NoiseSource::draw_radii(&mut rng, self.cfg.block_len, &mut self.radii);
+        !self
+            .impulse
+            .is_some_and(|(prob, _)| rng.gen::<f64>() < prob)
     }
 
     /// True when some staged transmission on `channel` reaches `rx`: the

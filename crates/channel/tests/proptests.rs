@@ -504,6 +504,81 @@ proptest! {
         }
     }
 
+    /// `squelch_open(rx, ch, t)` is exactly `receive_power(rx, ch) > t`,
+    /// with the noise floor on both sides of the closed-squelch bound
+    /// (`floor · 53 ln 2` against `t`), impulse noise on and off, a storm
+    /// on some channels, and signals staged near the threshold. Later
+    /// views are untouched by either read.
+    #[test]
+    fn squelch_open_equivalence_with_receive_power(
+        seed in any::<u64>(),
+        threshold_dbm in -105.0f64..-85.0,
+        floor_below_db in -3.0f64..25.0,
+        impulse in any::<bool>(),
+        storm_mask in any::<u16>(),
+        storm in any::<bool>(),
+        signal_db in -10.0f64..10.0,
+        blocks in 1usize..6,
+    ) {
+        let cfg = MediumConfig {
+            fault: if storm {
+                FaultPlan {
+                    storm_start_prob: 0.5,
+                    storm_len_blocks: 2,
+                    storm_power_dbm: threshold_dbm - 5.0,
+                    storm_channel_mask: storm_mask,
+                    ..FaultPlan::none()
+                }
+            } else {
+                FaultPlan::none()
+            },
+            ..Default::default()
+        };
+        let floor_dbm = threshold_dbm - floor_below_db;
+        let build = || {
+            let mut m = Medium::new(cfg, seed);
+            let tx = m.add_antenna(Placement::los("tx", 0.0, 0.0));
+            let deaf = m.add_antenna(Placement::los("deaf", 1.0, 0.0));
+            let rx = m.add_antenna(Placement::los("rx", 2.0, 0.0));
+            m.set_gain(tx, rx, C64::ONE);
+            m.set_noise_floor_dbm(rx, floor_dbm);
+            if impulse {
+                m.set_impulse_noise(0.3, threshold_dbm);
+            }
+            (m, tx, deaf, rx)
+        };
+        let (mut squelched, tx, deaf, rx) = build();
+        let (mut powered, ..) = build();
+        let threshold = hb_dsp::units::ratio_from_db(threshold_dbm);
+        let amp = hb_dsp::units::ratio_from_db(threshold_dbm + signal_db).sqrt();
+        let wave = vec![C64::new(amp, 0.0); 16];
+        let channels = squelched.config().n_channels;
+        for b in 0..blocks {
+            for m in [&mut squelched, &mut powered] {
+                m.transmit(tx, b % channels, &wave);
+                m.transmit(deaf, (b + 1) % channels, &wave);
+            }
+            let mut powers = Vec::new();
+            for ch in 0..channels {
+                let open = squelched.squelch_open(rx, ch, threshold);
+                let power = powered.receive_power(rx, ch);
+                prop_assert!(open == (power > threshold), "channel {ch}: {open} at {power}");
+                powers.push(power);
+            }
+            for (ch, power) in powers.into_iter().enumerate() {
+                let (a, c) = (squelched.receive(rx, ch), powered.receive(rx, ch));
+                prop_assert!(a.iter().zip(&c).all(|(x, y)| {
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+                }));
+                // And the level is the view's (the storm is in both).
+                let view = hb_dsp::complex::mean_power(&a);
+                prop_assert!((power - view).abs() <= 1e-9 * view, "{power} vs {view}");
+            }
+            squelched.end_block();
+            powered.end_block();
+        }
+    }
+
     /// Distribution of the noise-only fast path: the mean power of 16
     /// circular Gaussian samples over the floor is Γ(16, 1/16). A
     /// Kolmogorov–Smirnov test over 2000 slots (antennas × channels ×

@@ -13,16 +13,31 @@
 //!   MICS channel for the protected device's identifying sequence `Sid`
 //!   (within `bthresh` bit errors) and jams until the signal stops (§7).
 //!   Off the session channel a per-block squelch gates the demodulator:
-//!   it compares the block's mean power
-//!   ([`Medium::receive_power`]) against `squelch_dbm`, and only an open
-//!   squelch reads the samples — an idle channel costs no synthesized
-//!   noise;
+//!   [`Medium::squelch_open`] compares the block's mean power against
+//!   `squelch_dbm`, and only an open squelch reads the samples — an idle
+//!   channel costs no synthesized noise. While the noise floor times
+//!   `53 ln 2` stays under the squelch (−96.4 dBm against the default
+//!   −95 dBm), a noise-only block is closed from its keyed draws alone,
+//!   with no `ln`;
 //! * **guards its own transmissions** — any signal concurrent with the
 //!   shield's own relay transmission triggers an immediate switch to
 //!   jamming, so an adversary cannot overwrite the shield's messages (§7);
 //! * **raises an alarm** when an adversarial transmission is strong enough
 //!   (≥ `Pthresh`) that jamming may fail (§7(d)), and schedules a
 //!   protective jam window over the IMD's potential reply.
+//!
+//! # The session front end
+//!
+//! The session channel is demodulated once per block. The frame detector
+//! sweeps the samples, and the session channel's [`SidMonitor`] reuses
+//! its completed energies ([`SidMonitor::push_block_shared`]), which is
+//! bit-identical because both correlators sum the same samples from the
+//! same symbol start. The monitor sweeps for itself only during the first
+//! `sps − 1` samples after it or the detector was reset (a silent
+//! advance, the end of a jam, a retune). While the shield transmits, the
+//! half-duplex receiver hears nothing: the detector takes
+//! [`StreamingDetector::push_silence`], exactly a block of zeros, and the
+//! monitor advances silently.
 
 use crate::fullduplex::{CouplingConfig, FullDuplex};
 use crate::jamsignal::JamSignal;
@@ -332,8 +347,6 @@ pub struct Shield {
     scratch_jam: Vec<C64>,
     /// Pooled scratch: the matching antidote block.
     scratch_antidote: Vec<C64>,
-    /// Pooled scratch: a silence block for detector clock alignment.
-    scratch_silence: Vec<C64>,
     /// Pooled scratch: this block's (channel, jam power) emissions.
     scratch_jam_channels: Vec<(usize, f64)>,
     /// Whether the previous block was silenced by an outage window (for
@@ -396,7 +409,6 @@ impl Shield {
             sealed_responses: Vec::new(),
             scratch_jam: Vec::new(),
             scratch_antidote: Vec::new(),
-            scratch_silence: Vec::new(),
             scratch_jam_channels: Vec::new(),
             was_silenced: false,
             rng,
@@ -812,8 +824,7 @@ impl Node for Shield {
                 self.engage_active_jam(own_channel, tick, high, JamReason::Concurrent);
             }
             // Keep detector clocks aligned while transmitting.
-            self.scratch_silence.resize(block_len as usize, C64::ZERO);
-            self.frame_detector.push_block(&self.scratch_silence);
+            self.frame_detector.push_silence(block_len as usize);
             self.sid_monitors[self.cfg.session_channel].advance_silent(block_len);
         } else {
             // Decode IMD traffic (works while jamming, thanks to the
@@ -823,15 +834,19 @@ impl Node for Shield {
             }
             // Sid monitoring on the session channel — but not inside the
             // passive window, where the only Sid-bearing signal is the
-            // IMD's own (already-jammed) reply.
+            // IMD's own (already-jammed) reply. The monitor reuses the
+            // frame detector's energies for these samples.
             let in_passive = self
                 .passive_window
                 .map(|(s, e)| tick >= s && tick < e)
                 .unwrap_or(false);
             let rx = medium.receive_view(self.rx_ant, self.cfg.session_channel);
+            let monitor = &mut self.sid_monitors[self.cfg.session_channel];
             if in_passive {
-                self.sid_monitors[self.cfg.session_channel].advance_silent(block_len);
-            } else if let Some(det) = self.sid_monitors[self.cfg.session_channel].push_block(rx) {
+                monitor.advance_silent(block_len);
+            } else if let Some(det) =
+                monitor.push_block_shared(rx, self.frame_detector.block_energies())
+            {
                 let rssi = db_from_ratio(det.mean_power.max(1e-30));
                 self.stats.sid_detections += 1;
                 self.log(
@@ -866,7 +881,7 @@ impl Node for Shield {
                 continue;
             }
             let squelch_open = !self.active.contains_key(&ch)
-                && medium.receive_power(self.rx_ant, ch) > squelch_power;
+                && medium.squelch_open(self.rx_ant, ch, squelch_power);
             if squelch_open {
                 let rx_c = medium.receive_view(self.rx_ant, ch);
                 if let Some(det) = self.sid_monitors[ch].push_block(rx_c) {

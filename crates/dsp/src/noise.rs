@@ -123,17 +123,31 @@ impl NoiseSource {
         boxmuller_batch(out, -self.power);
     }
 
-    /// The mean power of the `n` samples [`NoiseSource::fill`] would
-    /// write from the same stream, without synthesizing them.
+    /// Draws the same `2n` values as [`NoiseSource::fill`] of `n` samples,
+    /// appending each sample's radius draw (the first of its pair; the
+    /// phase draw is consumed and dropped) to `radii`. With
+    /// [`NoiseSource::mean_power_of_radii`] this gives the fill's mean
+    /// power without synthesizing it, and leaves the stream where the fill
+    /// would.
+    pub fn draw_radii<R: Rng + ?Sized>(rng: &mut R, n: usize, radii: &mut Vec<u64>) {
+        radii.extend((0..n).map(|_| {
+            let radius = rng.next_u64();
+            let _phase = rng.next_u64();
+            radius
+        }));
+    }
+
+    /// The mean power of the samples [`NoiseSource::fill`] would write
+    /// from the radius draws [`NoiseSource::draw_radii`] took.
     ///
     /// A sample's power is its squared Box–Muller radius, `−ln u₁ ·
     /// power`; the phase uniform cancels (`cos² + sin² = 1`). So this
-    /// draws the same `2n` values as `fill` and returns `power · Σ(−ln
-    /// u₁ᵢ) / n` — the stream lines up afterwards and no `sqrt`/`sincos`
-    /// is evaluated. It matches `mean_power` of the fill to within 1e-9
-    /// relative (the batched sincos kernel rounds `cos² + sin²` to ~1e-10),
-    /// and is `power/n · Γ(n, 1)` distributed.
-    pub fn fill_mean_power<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> f64 {
+    /// returns `power · Σ(−ln u₁ᵢ) / n` and evaluates no `sqrt`/`sincos`.
+    /// It matches `mean_power` of the fill to within 1e-9 relative (the
+    /// batched sincos kernel rounds `cos² + sin²` to ~1e-10), and is
+    /// `power/n · Γ(n, 1)` distributed.
+    pub fn mean_power_of_radii(&self, radii: &[u64]) -> f64 {
+        let n = radii.len();
         if n == 0 {
             return 0.0;
         }
@@ -149,9 +163,7 @@ impl NoiseSource {
         let mut ln_sum = 0.0;
         let mut exponents = 0i64;
         let mut lanes = [1.0f64; 4];
-        for i in 0..n {
-            let radius = rng.next_u64();
-            let _phase = rng.next_u64();
+        for (i, &radius) in radii.iter().enumerate() {
             // Via i64: exact for a 53-bit value, and one instruction.
             let bits = (((radius >> 11) as i64) as f64 * scale)
                 .max(1e-300)
@@ -412,16 +424,16 @@ mod tests {
             let mut b = StdRng::seed_from_u64(n as u64);
             let mut buf = vec![C64::ZERO; n];
             src.fill(&mut a, &mut buf);
-            let p = src.fill_mean_power(&mut b, n);
+            let mut radii = vec![99];
+            NoiseSource::draw_radii(&mut b, n, &mut radii);
+            assert_eq!(radii.len(), n + 1, "draws are appended");
+            let p = src.mean_power_of_radii(&radii[1..]);
             let want = mean_power(&buf);
             // Equal up to the sincos kernel's rounding of cos² + sin².
             assert!((p - want).abs() <= 1e-9 * want, "n={n}: {p} vs {want}");
             assert_eq!(a.next_u64(), b.next_u64(), "consumption at n={n}");
         }
-        assert_eq!(
-            NoiseSource::new(1.0).fill_mean_power(&mut StdRng::seed_from_u64(1), 0),
-            0.0
-        );
+        assert_eq!(NoiseSource::new(1.0).mean_power_of_radii(&[]), 0.0);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::wakeup::{self, WakeGate};
 use hb_channel::medium::{AntennaId, Medium};
 use hb_channel::sim::Node;
 use hb_channel::txsched::TxScheduler;
-use hb_dsp::complex::C64;
 use hb_dsp::units::ratio_from_db;
 use hb_phy::fsk::FskModem;
 use hb_phy::packet::{Frame, FrameType};
@@ -91,8 +90,6 @@ pub struct ImdDevice {
     seq: u8,
     /// Payload of the last executed command (duplicate detection).
     last_cmd_payload: Option<Vec<u8>>,
-    /// Reusable silence block fed to the detector while transmitting.
-    silence: Vec<C64>,
     /// Authenticated-session state (`None` in [`SecurityMode::Open`]).
     fence: Option<FenceState>,
     /// Wake-up gate (`None` on stock devices).
@@ -130,7 +127,6 @@ impl ImdDevice {
             battery: Battery::typical_icd(),
             seq: 0,
             last_cmd_payload: None,
-            silence: Vec::new(),
             fence,
             gate,
             rng,
@@ -386,10 +382,7 @@ impl Node for ImdDevice {
         // aligned with the medium.
         let busy = self.tx.busy_at(medium.tick());
         let events = if busy {
-            if self.silence.len() != medium.config().block_len {
-                self.silence = vec![C64::ZERO; medium.config().block_len];
-            }
-            self.detector.push_block(&self.silence)
+            self.detector.push_silence(medium.config().block_len)
         } else {
             self.detector
                 .push_block(medium.receive_view(self.antenna, self.cfg.channel))
@@ -406,6 +399,7 @@ mod tests {
     use crate::models::ImdConfig;
     use hb_channel::geometry::Placement;
     use hb_channel::medium::MediumConfig;
+    use hb_dsp::complex::C64;
     use hb_dsp::units::db_from_ratio;
     use rand::SeedableRng;
 

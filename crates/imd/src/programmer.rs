@@ -78,7 +78,8 @@ pub struct Programmer {
     /// Seconds of continuous quiet observed (for LBT).
     quiet_s: f64,
     seq: u8,
-    /// Reusable silence block fed to the detector while transmitting.
+    /// Reusable silence block fed to the energy detector while
+    /// transmitting.
     silence: Vec<hb_dsp::C64>,
     /// Responses received, in arrival order.
     pub inbox: Vec<ReceivedResponse>,
@@ -198,22 +199,26 @@ impl Node for Programmer {
         let block_len = medium.config().block_len;
         let block_s = block_len as f64 / medium.config().fs_hz;
         let busy_tx = self.tx.busy_at(medium.tick());
-        let block: &[hb_dsp::C64] = if busy_tx {
+        // Half duplex: while transmitting, both detectors hear silence.
+        let events = if busy_tx {
             if self.silence.len() != block_len {
                 self.silence = vec![hb_dsp::C64::ZERO; block_len];
             }
-            &self.silence
-        } else {
-            medium.receive_view(self.antenna, self.cfg.channel)
-        };
-        // LBT bookkeeping.
-        if self.cca.push_block(block) || busy_tx {
+            self.cca.push_block(&self.silence);
             self.quiet_s = 0.0;
+            self.detector.push_silence(block_len)
         } else {
-            self.quiet_s += block_s;
-        }
+            let block = medium.receive_view(self.antenna, self.cfg.channel);
+            // LBT bookkeeping.
+            if self.cca.push_block(block) {
+                self.quiet_s = 0.0;
+            } else {
+                self.quiet_s += block_s;
+            }
+            self.detector.push_block(block)
+        };
         // Frame reception.
-        for e in self.detector.push_block(block) {
+        for e in events {
             if let DetectorEvent::FrameDone {
                 result: Ok(frame),
                 end_tick,

@@ -35,4 +35,4 @@ pub mod stream;
 pub use fsk::{FskModem, FskParams};
 pub use matcher::SidMatcher;
 pub use packet::{identifying_sequence, Frame, FrameError, FrameType, Serial};
-pub use stream::{DetectorEvent, SidDetection, SidMonitor, StreamingDetector};
+pub use stream::{BlockEnergies, DetectorEvent, SidDetection, SidMonitor, StreamingDetector};

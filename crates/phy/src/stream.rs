@@ -49,6 +49,38 @@
 //! (3) earliest fire (the sort is stable, so ties keep registration
 //! order). Only then does the detector lock and report
 //! [`DetectorEvent::SyncFound`].
+//!
+//! # Silence: [`StreamingDetector::push_silence`]
+//!
+//! A half-duplex radio hears nothing while its own transmitter is on, but
+//! its detector clock must keep running. `push_silence(n)` is defined as
+//! exactly `push_block(&[C64::ZERO; n])`, and is cheaper in two steps
+//! that each follow from the zero input:
+//!
+//! 1. The first `sps − 1` samples of a silent run go through both stages
+//!    as usual: the symbols completing there still hold samples from
+//!    before the run.
+//! 2. After `sps − 1` silent samples every phase has completed a symbol
+//!    inside the run, and a zero sample adds only `±0` products, so every
+//!    accumulator is `±0` and every completed energy is exactly `0.0`
+//!    (the sign of a zero never survives the squares or the next non-zero
+//!    addend). Stage (a) is skipped and stage (b) walks zero energies.
+//!
+//! Only `push_silence` extends a silent run; `push_block` and `reset` end
+//! it, even when the block happens to be all zeros.
+//!
+//! # Shared energies: [`SidMonitor::push_block_shared`]
+//!
+//! The shield runs a [`StreamingDetector`] and a [`SidMonitor`] on the
+//! same session-channel samples, with the same tone templates. A
+//! completed energy is a zero-started sum over the symbol's `sps`
+//! samples, accumulated in sample order, so two correlators fed the same
+//! samples emit the same bits for every symbol that lies wholly after
+//! both of their last resets. The monitor can therefore take the
+//! detector's energies ([`StreamingDetector::block_energies`]) instead of
+//! sweeping itself; only the first `sps − 1` samples after a reset of
+//! either one (the monitor's `advance_silent`/`reset`, the detector's
+//! `reset`) run the monitor's own sweep. Both paths share one stage (b).
 
 use crate::fsk::{FskModem, FskParams};
 use crate::matcher::SidMatcher;
@@ -239,6 +271,16 @@ pub struct StreamingDetector {
     /// one `(e0, e1)` pair per consumed sample.
     e0: Vec<f64>,
     e1: Vec<f64>,
+    /// Tick of the first sample behind `e0`/`e1`.
+    energies_tick: u64,
+    /// Leading `e0`/`e1` entries whose symbols began before the last reset.
+    energies_partial: usize,
+    /// Samples consumed since the last reset (saturating).
+    since_reset: u64,
+    /// Consecutive samples of the current `push_silence` run.
+    silent_run: u64,
+    /// Pooled zero samples for the silent paths.
+    zeros: Vec<C64>,
 }
 
 impl StreamingDetector {
@@ -263,6 +305,11 @@ impl StreamingDetector {
             next_tick: 0,
             e0: Vec::new(),
             e1: Vec::new(),
+            energies_tick: 0,
+            energies_partial: 0,
+            since_reset: 0,
+            silent_run: 0,
+            zeros: Vec::new(),
         }
     }
 
@@ -285,28 +332,99 @@ impl StreamingDetector {
             p.matcher.reset();
             p.clear_margins();
         }
+        self.since_reset = 0;
+        self.silent_run = 0;
     }
 
     /// Consumes one block of samples (which must directly follow the
     /// previous block) and returns any events it produced.
     pub fn push_block(&mut self, samples: &[C64]) -> Vec<DetectorEvent> {
-        let sps = self.modem.params().samples_per_symbol();
+        self.silent_run = 0;
         let mut events = Vec::new();
+        self.sweep(samples);
+        self.walk(samples, &mut events);
+        events
+    }
 
-        // Stage (a) — hot: the dense multi-phase MAC sweep over the whole
-        // block, emitting one completed (e0, e1) pair per sample.
+    /// Consumes `n` zero samples: exactly `push_block(&[C64::ZERO; n])`,
+    /// events and all later output included, at a fraction of the cost
+    /// once the silent run is long (see the module docs). This is the
+    /// receive path of a half-duplex radio while its own transmitter is
+    /// on.
+    pub fn push_silence(&mut self, n: usize) -> Vec<DetectorEvent> {
+        let sps = self.modem.params().samples_per_symbol();
+        let settled = (sps - 1) as u64;
+        let mut events = Vec::new();
+        let mut zeros = std::mem::take(&mut self.zeros);
+        zeros.resize(zeros.len().max(n), C64::ZERO);
+        // Symbols completing in the first `sps − 1` samples of the run
+        // still hold earlier samples.
+        let head = n.min(settled.saturating_sub(self.silent_run) as usize);
+        if head > 0 {
+            self.sweep(&zeros[..head]);
+            self.walk(&zeros[..head], &mut events);
+        }
+        // After that every accumulator is ±0: the energies are exactly zero.
+        let rest = n - head;
+        if rest > 0 {
+            self.e0.clear();
+            self.e1.clear();
+            self.e0.resize(rest, 0.0);
+            self.e1.resize(rest, 0.0);
+            self.mark_energies(rest);
+            self.walk(&zeros[..rest], &mut events);
+        }
+        self.silent_run += n as u64;
+        self.zeros = zeros;
+        // Silence leaves no block energies to share.
+        self.e0.clear();
+        self.e1.clear();
+        self.energies_tick = self.next_tick;
+        self.energies_partial = 0;
+        events
+    }
+
+    /// The completed-symbol energies of the last [`Self::push_block`]
+    /// (empty after [`Self::push_silence`]), for a [`SidMonitor`] on the
+    /// same samples: see [`SidMonitor::push_block_shared`].
+    pub fn block_energies(&self) -> BlockEnergies<'_> {
+        BlockEnergies {
+            start_tick: self.energies_tick,
+            partial: self.energies_partial,
+            e0: &self.e0,
+            e1: &self.e1,
+        }
+    }
+
+    /// Stage (a) — hot: the dense multi-phase MAC sweep over the whole
+    /// block, emitting one completed `(e0, e1)` pair per sample.
+    fn sweep(&mut self, samples: &[C64]) {
+        let sps = self.corr.sps();
         self.e0.clear();
         self.e1.clear();
         let base0 = (self.next_tick % sps as u64) as usize;
         self.corr
             .process_block(samples, base0, &mut self.e0, &mut self.e1);
+        self.mark_energies(samples.len());
+    }
 
-        // Stage (b) — cold: per completed symbol, in tick order. The
-        // scratch buffers move out of `self` for the walk so the zip
+    /// Records where the `n` fresh scratch energies sit in the stream.
+    fn mark_energies(&mut self, n: usize) {
+        let settled = (self.corr.sps() - 1) as u64;
+        self.energies_tick = self.next_tick;
+        self.energies_partial = settled.saturating_sub(self.since_reset).min(n as u64) as usize;
+        self.since_reset = self.since_reset.saturating_add(n as u64);
+    }
+
+    /// Stage (b) — cold: per completed symbol, in tick order, over the
+    /// scratch energies of `samples`.
+    fn walk(&mut self, samples: &[C64], events: &mut Vec<DetectorEvent>) {
+        let sps = self.phases.len();
+        // The scratch buffers move out of `self` for the walk so the zip
         // borrows cleanly (and elides every bounds check).
         let e0s = std::mem::take(&mut self.e0);
         let e1s = std::mem::take(&mut self.e1);
-        let mut p = base0;
+        let mut p = (self.next_tick % sps as u64) as usize;
         for ((&s, &e0), &e1) in samples.iter().zip(e0s.iter()).zip(e1s.iter()) {
             let tick = self.next_tick;
             self.next_tick += 1;
@@ -446,7 +564,6 @@ impl StreamingDetector {
         }
         self.e0 = e0s;
         self.e1 = e1s;
-        events
     }
 
     /// The configured sync-pattern bit-error tolerance.
@@ -458,6 +575,22 @@ impl StreamingDetector {
     pub fn tick(&self) -> u64 {
         self.next_tick
     }
+}
+
+/// A [`StreamingDetector`]'s completed-symbol energies for its last block
+/// (see [`StreamingDetector::block_energies`]). Only the detector makes
+/// one, so a [`SidMonitor`] can trust where they sit in the stream.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockEnergies<'a> {
+    /// Tick of the block's first sample.
+    start_tick: u64,
+    /// Leading entries whose symbols began before the detector's last
+    /// reset (partial sums no other correlator shares).
+    partial: usize,
+    /// Tone-0 energy of the symbol each sample completes.
+    e0: &'a [f64],
+    /// Tone-1 energy of the symbol each sample completes.
+    e1: &'a [f64],
 }
 
 /// A detection from [`SidMonitor::push_block`].
@@ -503,6 +636,11 @@ pub struct SidMonitor {
     /// their freshly-reset state, so repeated [`SidMonitor::advance_silent`]
     /// calls can skip the O(window) reset work.
     in_reset_state: bool,
+    /// Samples consumed since the correlator was last reset (saturating).
+    since_reset: u64,
+    /// True while the own correlator has swept every sample since its
+    /// last reset; shared energies end that until the next reset.
+    corr_current: bool,
     /// Per-block scratch: completed-symbol tone energies from stage (a).
     e0: Vec<f64>,
     e1: Vec<f64>,
@@ -526,6 +664,8 @@ impl SidMonitor {
             next_tick: 0,
             holdoff_until: 0,
             in_reset_state: true,
+            since_reset: 0,
+            corr_current: true,
             e0: Vec::new(),
             e1: Vec::new(),
         }
@@ -533,21 +673,71 @@ impl SidMonitor {
 
     /// Consumes one block; returns the first detection in it, if any.
     pub fn push_block(&mut self, samples: &[C64]) -> Option<SidDetection> {
+        self.push(samples, None)
+    }
+
+    /// [`SidMonitor::push_block`] on the samples a [`StreamingDetector`]
+    /// with the same FSK parameters has just consumed, reusing its
+    /// completed energies instead of sweeping: bit-identical, because both
+    /// energies are zero-started sums over the same symbol (see the module
+    /// docs). Only the first `sps − 1` samples after a reset of either side
+    /// run this monitor's own sweep.
+    ///
+    /// # Panics
+    /// Panics if `shared` does not cover exactly `samples` at this
+    /// monitor's tick, or if the own sweep is needed after shared energies
+    /// were used without a [`SidMonitor::reset`] in between.
+    pub fn push_block_shared(
+        &mut self,
+        samples: &[C64],
+        shared: BlockEnergies<'_>,
+    ) -> Option<SidDetection> {
+        self.push(samples, Some(shared))
+    }
+
+    fn push(&mut self, samples: &[C64], shared: Option<BlockEnergies<'_>>) -> Option<SidDetection> {
         if !samples.is_empty() {
             self.in_reset_state = false;
         }
         let mut detection = None;
 
-        // Stage (a) — hot: the shared blocked sweep.
+        // Stage (a) — hot: the own blocked sweep over the samples whose
+        // symbols the shared energies do not cover.
+        let len = samples.len();
+        let own = match &shared {
+            None => len,
+            Some(sh) => {
+                assert!(
+                    sh.start_tick == self.next_tick && sh.e0.len() == len && sh.e1.len() == len,
+                    "shared energies must cover this block"
+                );
+                let settled = (self.sps - 1) as u64;
+                let warmup = settled.saturating_sub(self.since_reset).min(len as u64) as usize;
+                warmup.max(sh.partial)
+            }
+        };
         self.e0.clear();
         self.e1.clear();
         let base0 = (self.next_tick % self.sps as u64) as usize;
-        self.corr
-            .process_block(samples, base0, &mut self.e0, &mut self.e1);
+        if own > 0 {
+            assert!(
+                self.corr_current,
+                "own sweep needed after shared energies without a reset"
+            );
+            self.corr
+                .process_block(&samples[..own], base0, &mut self.e0, &mut self.e1);
+        }
+        if let Some(sh) = shared.filter(|_| own < len) {
+            self.e0.extend_from_slice(&sh.e0[own..]);
+            self.e1.extend_from_slice(&sh.e1[own..]);
+            self.corr_current = false;
+        }
+        self.since_reset = self.since_reset.saturating_add(len as u64);
 
         // Stage (b) — cold: rolling RSSI + per-phase Sid matching.
         let e0s = std::mem::take(&mut self.e0);
         let e1s = std::mem::take(&mut self.e1);
+        let window = self.power_window.len();
         let mut phase = base0;
         for ((&s, &e0), &e1) in samples.iter().zip(e0s.iter()).zip(e1s.iter()) {
             let tick = self.next_tick;
@@ -557,7 +747,11 @@ impl SidMonitor {
             let p = s.norm_sq();
             self.power_sum += p - self.power_window[self.power_head];
             self.power_window[self.power_head] = p;
-            self.power_head = (self.power_head + 1) % self.power_window.len();
+            self.power_head = if self.power_head + 1 == window {
+                0
+            } else {
+                self.power_head + 1
+            };
 
             phase = if phase + 1 == self.sps { 0 } else { phase + 1 };
             let bit = u8::from(e1 > e0);
@@ -565,11 +759,11 @@ impl SidMonitor {
                 detection = Some(SidDetection {
                     tick,
                     distance: self.matchers[phase].current_distance(),
-                    mean_power: self.power_sum / self.power_window.len() as f64,
+                    mean_power: self.power_sum / window as f64,
                 });
                 // Hold off for half a Sid so sibling phases don't
                 // re-report the same transmission.
-                self.holdoff_until = tick + (self.power_window.len() / 2) as u64;
+                self.holdoff_until = tick + (window / 2) as u64;
             }
         }
         self.e0 = e0s;
@@ -583,6 +777,8 @@ impl SidMonitor {
             m.reset();
         }
         self.corr.reset();
+        self.since_reset = 0;
+        self.corr_current = true;
         // The power window is *not* cleared here, so the next silent
         // advance still has zeroing to do.
         self.in_reset_state = false;

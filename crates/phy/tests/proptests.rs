@@ -5,9 +5,86 @@ use hb_phy::crc::{append_crc16, crc16_ccitt, verify_crc16};
 use hb_phy::fsk::{FskModem, FskParams};
 use hb_phy::gmsk::{GmskModem, GmskParams};
 use hb_phy::ofdm::{OfdmModem, OfdmParams};
-use hb_phy::packet::{Frame, FrameType, Serial, MAX_PAYLOAD};
-use hb_phy::stream::{DetectorEvent, StreamingDetector};
+use hb_phy::packet::{identifying_sequence, Frame, FrameType, Serial, MAX_PAYLOAD};
+use hb_phy::stream::{DetectorEvent, SidDetection, SidMonitor, StreamingDetector};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// FSK parameter sets with 24, 12 and 6 samples per symbol.
+fn param_set(i: usize) -> FskParams {
+    FskParams {
+        fs_hz: 300e3,
+        bitrate: [12.5e3, 25e3, 50e3][i % 3],
+        deviation_hz: 50e3,
+    }
+}
+
+/// One piece of a scripted receive stream.
+enum Segment {
+    /// Samples on the air (a frame, possibly cut short, or noise).
+    Samples(Vec<hb_dsp::C64>),
+    /// `n` samples of silence.
+    Silence(usize),
+    /// A detector reset.
+    Reset,
+}
+
+/// A random stream for the silence equivalence test: frames (some cut off
+/// mid-frame, so a lock can run into the silence), noise, and silent runs
+/// both shorter than a symbol and longer than the 48-symbol sync window.
+fn silence_script(rng: &mut StdRng, p: FskParams) -> Vec<Segment> {
+    let sps = p.samples_per_symbol();
+    let modem = FskModem::new(p);
+    let mut script = Vec::new();
+    for _ in 0..rng.gen_range(4..12) {
+        let noise_power = hb_dsp::units::ratio_from_db(rng.gen_range(-40.0..3.0));
+        script.push(match rng.gen_range(0..10) {
+            0..=2 => {
+                let payload = vec![rng.gen::<u8>(); rng.gen_range(0..=MAX_PAYLOAD)];
+                let frame = Frame::new(
+                    Serial::from_str_padded("VIRTUOSO01"),
+                    FrameType::Command,
+                    1,
+                    payload,
+                );
+                let mut wave = modem.modulate(&frame.to_bits());
+                if rng.gen_bool(0.5) {
+                    wave.truncate(rng.gen_range(0..wave.len()));
+                }
+                let noise = hb_dsp::noise::white_noise(rng, wave.len(), noise_power);
+                Segment::Samples(wave.iter().zip(&noise).map(|(&a, &b)| a + b).collect())
+            }
+            3 | 4 => {
+                let n = rng.gen_range(0..600);
+                Segment::Samples(hb_dsp::noise::white_noise(rng, n, noise_power))
+            }
+            5 | 6 => Segment::Silence(rng.gen_range(0..2 * sps)),
+            7 | 8 => Segment::Silence(rng.gen_range(0..60 * sps)),
+            _ => Segment::Reset,
+        });
+    }
+    // A clean frame last, so any state the silence left behind shows.
+    let tail = Frame::new(
+        Serial::from_str_padded("CONCERTO02"),
+        FrameType::Response,
+        2,
+        vec![9, 8, 7],
+    );
+    script.push(Segment::Samples(modem.modulate(&tail.to_bits())));
+    script.push(Segment::Silence(3000));
+    script
+}
+
+/// Events rendered with every float's exact value (`Debug` of an `f64`
+/// round-trips, and tells `-0.0` from `0.0`).
+fn render(events: &[DetectorEvent]) -> String {
+    format!("{events:?}")
+}
+
+fn render_sid(d: Option<SidDetection>) -> Option<(u64, usize, u64)> {
+    d.map(|d| (d.tick, d.distance, d.mean_power.to_bits()))
+}
 
 proptest! {
     /// FSK is a faithful channel at infinite SNR for any bit pattern.
@@ -149,5 +226,151 @@ proptest! {
             }
         }
         prop_assert_eq!(found.unwrap().unwrap(), frame);
+    }
+
+    /// `push_silence(n)` is exactly `push_block(&[0; n])`: same events and
+    /// the same state afterwards, for silent runs shorter than a symbol,
+    /// runs longer than the sync window, runs that start mid-frame, resets
+    /// in between, and sync tolerances on both sides of the all-zero
+    /// window's distance (24 of the 48 sync bits are ones).
+    #[test]
+    fn push_silence_equivalence_with_zero_blocks(
+        seed in any::<u64>(),
+        pset in 0usize..3,
+        tol_idx in 0usize..4,
+        block_idx in 0usize..6,
+    ) {
+        let p = param_set(pset);
+        let tolerance = [0usize, 4, 12, 24][tol_idx];
+        let block = [1usize, 5, 16, 24, 37, 160][block_idx];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let script = silence_script(&mut rng, p);
+        let mut zeros_det = StreamingDetector::new(p, tolerance);
+        let mut silent_det = StreamingDetector::new(p, tolerance);
+        for seg in &script {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            match seg {
+                Segment::Samples(x) => {
+                    for chunk in x.chunks(block) {
+                        a.extend(zeros_det.push_block(chunk));
+                        b.extend(silent_det.push_block(chunk));
+                    }
+                }
+                Segment::Silence(n) => {
+                    let zeros = vec![hb_dsp::C64::ZERO; *n];
+                    for chunk in zeros.chunks(block) {
+                        a.extend(zeros_det.push_block(chunk));
+                    }
+                    if rng.gen_bool(0.5) {
+                        b.extend(silent_det.push_silence(*n));
+                    } else {
+                        for chunk in zeros.chunks(block) {
+                            b.extend(silent_det.push_silence(chunk.len()));
+                        }
+                    }
+                }
+                Segment::Reset => {
+                    zeros_det.reset();
+                    silent_det.reset();
+                }
+            }
+            prop_assert_eq!(render(&a), render(&b));
+            prop_assert_eq!(zeros_det.tick(), silent_det.tick());
+            prop_assert_eq!(zeros_det.is_locked(), silent_det.is_locked());
+        }
+    }
+
+    /// A session `SidMonitor` fed the frame detector's energies detects
+    /// exactly what one running its own sweep detects, under the shield's
+    /// interleavings: passive windows and own transmissions
+    /// (`advance_silent`, with the detector pushing samples or silence),
+    /// jam ends (`reset`), and retunes (detector reset, the session role
+    /// moving to a monitor that was sweeping another channel). A loose
+    /// tolerance makes noise fire too, so the reported distances expose any
+    /// differing bit.
+    #[test]
+    fn shared_energy_sid_monitor_equivalence(
+        seed in any::<u64>(),
+        pset in 0usize..3,
+        block_idx in 0usize..5,
+        bthresh_idx in 0usize..3,
+    ) {
+        let p = param_set(pset);
+        let block = [1usize, 16, 24, 37, 100][block_idx];
+        let bthresh = [4usize, 48, 64][bthresh_idx];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let modem = FskModem::new(p);
+        let sid = identifying_sequence(Serial::from_str_padded("VIRTUOSO01"));
+        let mut session = Vec::new();
+        while session.len() < 40_000 {
+            let power = hb_dsp::units::ratio_from_db(rng.gen_range(-40.0..0.0));
+            match rng.gen_range(0..3) {
+                0 => {
+                    let frame = Frame::new(
+                        Serial::from_str_padded("VIRTUOSO01"),
+                        FrameType::Command,
+                        1,
+                        vec![rng.gen(); rng.gen_range(0..=MAX_PAYLOAD)],
+                    );
+                    let wave = modem.modulate(&frame.to_bits());
+                    let noise = hb_dsp::noise::white_noise(&mut rng, wave.len(), power);
+                    session.extend(wave.iter().zip(&noise).map(|(&a, &b)| a + b));
+                }
+                1 => {
+                    let n = rng.gen_range(0..2000);
+                    session.extend(hb_dsp::noise::white_noise(&mut rng, n, power));
+                }
+                _ => session.extend(vec![hb_dsp::C64::ZERO; rng.gen_range(0..2000)]),
+            }
+        }
+        let other = hb_dsp::noise::white_noise(&mut rng, session.len(), 0.01);
+        let mut det = StreamingDetector::new(p, 4);
+        // (own sweep, shared energies) pairs; `s` is the session pair.
+        let mut pairs = [0, 1].map(|_| {
+            (SidMonitor::new(p, sid.clone(), bthresh), SidMonitor::new(p, sid.clone(), bthresh))
+        });
+        let mut s = 0;
+        for (x, y) in session.chunks(block).zip(other.chunks(block)) {
+            let action = rng.gen_range(0..20);
+            if action == 0 {
+                // Retune: the detector and the old session monitor reset.
+                det.reset();
+                pairs[s].0.reset();
+                pairs[s].1.reset();
+                s = 1 - s;
+            } else if action == 1 {
+                // An active jam on the session channel ended.
+                pairs[s].0.reset();
+                pairs[s].1.reset();
+            }
+            let (own, shared) = &mut pairs[s];
+            match action {
+                2 => {
+                    det.push_silence(x.len());
+                    own.advance_silent(x.len() as u64);
+                    shared.advance_silent(x.len() as u64);
+                }
+                3 | 4 => {
+                    det.push_block(x);
+                    own.advance_silent(x.len() as u64);
+                    shared.advance_silent(x.len() as u64);
+                }
+                _ => {
+                    det.push_block(x);
+                    let a = own.push_block(x);
+                    let b = shared.push_block_shared(x, det.block_energies());
+                    prop_assert_eq!(render_sid(a), render_sid(b));
+                }
+            }
+            prop_assert_eq!(own.tick(), shared.tick());
+            // The other monitor watches another channel, squelch open or not.
+            let (own, shared) = &mut pairs[1 - s];
+            if rng.gen_bool(0.5) {
+                prop_assert_eq!(render_sid(own.push_block(y)), render_sid(shared.push_block(y)));
+            } else {
+                own.advance_silent(y.len() as u64);
+                shared.advance_silent(y.len() as u64);
+            }
+        }
     }
 }
