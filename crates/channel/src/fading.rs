@@ -1,6 +1,4 @@
-//! Small-scale fading: complex link gains with Rayleigh/Rician statistics,
-//! and a tapped-delay-line multipath channel for the wideband (OFDM)
-//! extension.
+//! Small-scale fading: complex link gains with Rayleigh/Rician statistics.
 //!
 //! The paper's experiments are static (nothing moves during a run), so the
 //! medium draws one complex gain per link per run. Indoor links with line
@@ -39,57 +37,6 @@ impl Fading {
                 direct + complex_gaussian(rng, 1.0 / (k + 1.0))
             }
         }
-    }
-}
-
-/// A static tapped-delay-line multipath channel (for wideband/OFDM
-/// experiments; narrowband MICS links use a single tap).
-#[derive(Debug, Clone)]
-pub struct MultipathChannel {
-    /// Complex tap gains; tap `i` has a delay of `i` samples.
-    pub taps: Vec<C64>,
-}
-
-impl MultipathChannel {
-    /// A single-tap (flat) channel.
-    pub fn flat(gain: C64) -> Self {
-        MultipathChannel { taps: vec![gain] }
-    }
-
-    /// Draws an exponentially-decaying power-delay profile with `n_taps`
-    /// taps and decay constant `decay` (power ratio between successive
-    /// taps), normalized to unit total power.
-    pub fn random_exponential<R: Rng + ?Sized>(n_taps: usize, decay: f64, rng: &mut R) -> Self {
-        assert!(n_taps >= 1 && decay > 0.0 && decay <= 1.0);
-        let mut taps = Vec::with_capacity(n_taps);
-        let mut p = 1.0;
-        for _ in 0..n_taps {
-            taps.push(complex_gaussian(rng, p));
-            p *= decay;
-        }
-        let total: f64 = taps.iter().map(|t| t.norm_sq()).sum();
-        let k = 1.0 / total.sqrt();
-        for t in taps.iter_mut() {
-            *t = t.scale(k);
-        }
-        MultipathChannel { taps }
-    }
-
-    /// Applies the channel by linear convolution; output has
-    /// `input.len() + taps.len() - 1` samples.
-    pub fn apply(&self, input: &[C64]) -> Vec<C64> {
-        let mut out = vec![C64::ZERO; input.len() + self.taps.len() - 1];
-        for (i, &x) in input.iter().enumerate() {
-            for (j, &h) in self.taps.iter().enumerate() {
-                out[i + j] += x * h;
-            }
-        }
-        out
-    }
-
-    /// Delay spread in samples (last tap index).
-    pub fn delay_spread(&self) -> usize {
-        self.taps.len() - 1
     }
 }
 
@@ -149,40 +96,5 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((p - 1.0).abs() < 0.03);
-    }
-
-    #[test]
-    fn multipath_unit_power_normalization() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..20 {
-            let ch = MultipathChannel::random_exponential(8, 0.5, &mut rng);
-            let total: f64 = ch.taps.iter().map(|t| t.norm_sq()).sum();
-            assert!((total - 1.0).abs() < 1e-9);
-            assert_eq!(ch.delay_spread(), 7);
-        }
-    }
-
-    #[test]
-    fn flat_channel_scales_input() {
-        let ch = MultipathChannel::flat(C64::new(0.0, 2.0));
-        let out = ch.apply(&[C64::ONE, C64::new(1.0, 1.0)]);
-        assert_eq!(out.len(), 2);
-        assert!((out[0] - C64::new(0.0, 2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn convolution_length_and_superposition() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let ch = MultipathChannel::random_exponential(4, 0.7, &mut rng);
-        let a = vec![C64::ONE; 10];
-        let b = vec![C64::J; 10];
-        let sum: Vec<C64> = a.iter().zip(&b).map(|(&x, &y)| x + y).collect();
-        let ya = ch.apply(&a);
-        let yb = ch.apply(&b);
-        let ysum = ch.apply(&sum);
-        assert_eq!(ya.len(), 13);
-        for i in 0..13 {
-            assert!((ysum[i] - (ya[i] + yb[i])).abs() < 1e-12);
-        }
     }
 }

@@ -7,8 +7,7 @@
 //! * [`pathloss`] — the calibrated indoor MICS model: free-space segment,
 //!   indoor breakpoint, near-field coupling floor, NLOS penalty, lognormal
 //!   shadowing, and the in-body loss term `L_body` of §6(b).
-//! * [`fading`] — Rayleigh/Rician link gains and tapped-delay-line
-//!   multipath (for the wideband extension).
+//! * [`fading`] — Rayleigh/Rician link gains.
 //! * [`fault`] — deterministic channel fault injection: seeded burst
 //!   gain dropouts, impulse-noise storms, and timed shield-outage
 //!   schedules, drawn from a dedicated RNG stream.

@@ -1,6 +1,6 @@
 //! Property-based tests for the channel substrate.
 
-use hb_channel::fading::{Fading, MultipathChannel};
+use hb_channel::fading::Fading;
 use hb_channel::fault::FaultPlan;
 use hb_channel::geometry::{Placement, Point};
 use hb_channel::medium::{Medium, MediumConfig};
@@ -113,15 +113,6 @@ proptest! {
         let n = 4000;
         let p: f64 = (0..n).map(|_| Fading::Rician(k).draw(&mut rng).norm_sq()).sum::<f64>() / n as f64;
         prop_assert!((p - 1.0).abs() < 0.2, "power {}", p);
-    }
-
-    /// Multipath normalization holds for any profile shape.
-    #[test]
-    fn multipath_unit_power(n_taps in 1usize..16, decay in 0.05f64..1.0, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ch = MultipathChannel::random_exponential(n_taps, decay, &mut rng);
-        let total: f64 = ch.taps.iter().map(|t| t.norm_sq()).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
     }
 
     /// At a cull margin of −∞ the sparse engine IS the dense engine: with

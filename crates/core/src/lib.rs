@@ -8,13 +8,9 @@
 //!   small wearable device.
 //! * [`jamsignal`] — random jamming shaped to the IMD's FSK power profile
 //!   (Fig. 5), making band-pass filtering attacks useless.
-//! * [`sinr`] — the SINR analysis of §6: location-independent eavesdropper
-//!   error and the shield/adversary SINR gap `G` (Eqs. 6–9).
 //! * [`shield`] — the device itself: encrypted programmer relay, passive
 //!   jam windows over IMD replies, wideband `Sid` monitoring with
 //!   jam-until-idle, own-transmission guarding, and the `Pthresh` alarm.
-//! * [`wideband`] — the §5 multipath extension: per-OFDM-subcarrier
-//!   antidote cancellation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,8 +18,6 @@
 pub mod fullduplex;
 pub mod jamsignal;
 pub mod shield;
-pub mod sinr;
-pub mod wideband;
 
 pub use fullduplex::{CouplingConfig, FullDuplex};
 pub use jamsignal::JamSignal;

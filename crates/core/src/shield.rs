@@ -493,16 +493,6 @@ impl Shield {
                 .unwrap_or(false)
     }
 
-    /// True if the shield is emitting jamming on `channel` this block.
-    pub fn jamming_on(&self, channel: usize, tick: Tick) -> bool {
-        self.passive_jamming_on(channel, tick) || self.active.contains_key(&channel)
-    }
-
-    /// Running estimate of the IMD's received power at the shield, dBm.
-    pub fn imd_rx_estimate_dbm(&self) -> f64 {
-        self.imd_rx_dbm
-    }
-
     /// True while a relayed command transmission is in flight.
     pub fn transmitting(&self) -> bool {
         self.own_tx.is_some()

@@ -6,10 +6,8 @@
 //!
 //! Everything operates on [`complex::C64`] baseband samples:
 //!
-//! * [`fft`] — radix-2 FFT/IFFT with cached plans.
-//! * [`fir`] — windowed-sinc filter design and streaming filters (the
-//!   shield's channelizer and the eavesdropper's band-pass attack).
-//! * [`goertzel`] — single-bin DFT (the FSK tone matched filter).
+//! * [`fft`] — radix-2 FFT/IFFT with cached plans (spectral noise
+//!   shaping and Welch PSD).
 //! * [`correlator`] — the blocked multi-phase matched-filter correlator
 //!   behind `hb_phy`'s streaming detector and Sid monitor (dense,
 //!   autovectorizable per-phase tone accumulation).
@@ -24,7 +22,7 @@
 //! * [`cfo`] — carrier frequency offset modeling and estimation.
 //! * [`checksum`] — FNV-1a hashing for the crash-safe run journal's
 //!   integrity header.
-//! * [`window`], [`special`], [`units`], [`stats`] — supporting math.
+//! * [`window`], [`units`], [`stats`] — supporting math.
 //!
 //! The crate has no unsafe code and every public item is documented.
 
@@ -36,12 +34,9 @@ pub mod checksum;
 pub mod complex;
 pub mod correlator;
 pub mod fft;
-pub mod fir;
-pub mod goertzel;
 pub mod kernels;
 pub mod noise;
 pub mod osc;
-pub mod special;
 pub mod spectrum;
 pub mod stats;
 pub mod units;

@@ -1,6 +1,5 @@
-//! Window functions for filter design and spectral estimation.
+//! Window functions for spectral estimation (Welch PSD).
 
-use crate::special::bessel_i0;
 use std::f64::consts::PI;
 
 /// Supported window shapes.
@@ -14,8 +13,6 @@ pub enum Window {
     Hann,
     /// Blackman window: first sidelobe about −58 dB.
     Blackman,
-    /// Kaiser window with shape parameter beta.
-    Kaiser(f64),
 }
 
 impl Window {
@@ -33,28 +30,12 @@ impl Window {
             Window::Hamming => 0.54 - 0.46 * (2.0 * PI * x).cos(),
             Window::Hann => 0.5 - 0.5 * (2.0 * PI * x).cos(),
             Window::Blackman => 0.42 - 0.5 * (2.0 * PI * x).cos() + 0.08 * (4.0 * PI * x).cos(),
-            Window::Kaiser(beta) => {
-                let t = 2.0 * x - 1.0; // -1..=1
-                bessel_i0(beta * (1.0 - t * t).sqrt()) / bessel_i0(beta)
-            }
         }
     }
 
     /// Generates the full window as a vector of `len` coefficients.
     pub fn coefficients(self, len: usize) -> Vec<f64> {
         (0..len).map(|n| self.value(n, len)).collect()
-    }
-
-    /// Kaiser window beta for a desired stopband attenuation in dB
-    /// (Kaiser's empirical formula).
-    pub fn kaiser_beta(atten_db: f64) -> f64 {
-        if atten_db > 50.0 {
-            0.1102 * (atten_db - 8.7)
-        } else if atten_db >= 21.0 {
-            0.5842 * (atten_db - 21.0).powf(0.4) + 0.078_86 * (atten_db - 21.0)
-        } else {
-            0.0
-        }
     }
 }
 
@@ -69,7 +50,6 @@ mod tests {
             Window::Hamming,
             Window::Hann,
             Window::Blackman,
-            Window::Kaiser(6.0),
         ] {
             let c = w.coefficients(33);
             for i in 0..c.len() {
@@ -83,12 +63,7 @@ mod tests {
 
     #[test]
     fn windows_peak_at_center() {
-        for w in [
-            Window::Hamming,
-            Window::Hann,
-            Window::Blackman,
-            Window::Kaiser(8.0),
-        ] {
+        for w in [Window::Hamming, Window::Hann, Window::Blackman] {
             let c = w.coefficients(65);
             let peak = c[32];
             assert!((peak - 1.0).abs() < 1e-9, "{w:?} center is {peak}");
@@ -109,23 +84,6 @@ mod tests {
     fn hamming_endpoints() {
         let c = Window::Hamming.coefficients(16);
         assert!((c[0] - 0.08).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kaiser_beta_zero_is_rectangular() {
-        let k = Window::Kaiser(0.0).coefficients(11);
-        for v in k {
-            assert!((v - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn kaiser_beta_formula_regions() {
-        assert_eq!(Window::kaiser_beta(10.0), 0.0);
-        assert!(Window::kaiser_beta(30.0) > 0.0);
-        assert!((Window::kaiser_beta(60.0) - 0.1102 * 51.3).abs() < 1e-9);
-        // Monotone in attenuation.
-        assert!(Window::kaiser_beta(80.0) > Window::kaiser_beta(60.0));
     }
 
     #[test]

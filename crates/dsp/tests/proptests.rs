@@ -3,8 +3,6 @@
 use hb_dsp::cfo::{apply_cfo, correct_cfo};
 use hb_dsp::complex::{inner_product, mean_power, C64};
 use hb_dsp::fft::{fft, ifft, next_pow2, FftPlan};
-use hb_dsp::fir::{convolve_real, design_lowpass, StreamingFir};
-use hb_dsp::goertzel::{goertzel, tone_correlate};
 use hb_dsp::kernels::{ln_batch, sincos_turns_batch};
 use hb_dsp::noise::NoiseSource;
 use hb_dsp::osc::Rotator;
@@ -67,41 +65,6 @@ proptest! {
         let p0 = mean_power(&buf);
         let back = ifft(&fft(&buf));
         prop_assert!((mean_power(&back) - p0).abs() < 1e-6 * (1.0 + p0));
-    }
-
-    /// Goertzel equals the direct correlation at any frequency.
-    #[test]
-    fn goertzel_equals_correlation(x in sig_strategy(64), f in -140e3f64..140e3) {
-        let g = goertzel(&x, f, 300e3);
-        let d = tone_correlate(&x, f, 300e3);
-        prop_assert!((g - d).abs() < 1e-5 * (1.0 + d.abs()));
-    }
-
-    /// Convolution is linear in the signal.
-    #[test]
-    fn convolution_linearity(x in sig_strategy(48), scale in -4.0f64..4.0) {
-        let taps = design_lowpass(40e3, 300e3, 15, Window::Hamming);
-        let scaled: Vec<C64> = x.iter().map(|&s| s.scale(scale)).collect();
-        let y1 = convolve_real(&scaled, &taps);
-        let y0 = convolve_real(&x, &taps);
-        for (a, b) in y1.iter().zip(&y0) {
-            prop_assert!((*a - b.scale(scale)).abs() < 1e-6 * (1.0 + b.abs()));
-        }
-    }
-
-    /// Streaming filtering equals batch convolution regardless of chunking.
-    #[test]
-    fn streaming_equals_batch(x in sig_strategy(96), chunk in 1usize..32) {
-        let taps = design_lowpass(50e3, 300e3, 11, Window::Hann);
-        let batch = convolve_real(&x, &taps);
-        let mut f = StreamingFir::from_real(&taps);
-        let mut out = Vec::new();
-        for c in x.chunks(chunk) {
-            out.extend(f.process(c));
-        }
-        for i in 0..x.len() {
-            prop_assert!((out[i] - batch[i]).abs() < 1e-9);
-        }
     }
 
     /// CFO application is invertible.
@@ -197,7 +160,7 @@ proptest! {
     /// Windows are symmetric and bounded by 1 at the center.
     #[test]
     fn window_symmetry(len in 2usize..128) {
-        for w in [Window::Hamming, Window::Hann, Window::Blackman, Window::Kaiser(7.0)] {
+        for w in [Window::Hamming, Window::Hann, Window::Blackman] {
             let c = w.coefficients(len);
             for i in 0..len {
                 prop_assert!((c[i] - c[len - 1 - i]).abs() < 1e-9);

@@ -161,11 +161,6 @@ impl ImdDevice {
         &self.battery
     }
 
-    /// Resets therapy to nominal (between experiment repetitions).
-    pub fn reset_therapy(&mut self) {
-        self.therapy = TherapyParams::nominal();
-    }
-
     /// True while the device's transmitter is on at `tick`.
     pub fn transmitting(&self, tick: u64) -> bool {
         self.tx.busy_at(tick)

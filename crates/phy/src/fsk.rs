@@ -644,13 +644,18 @@ mod tests {
     use crate::packet::{FrameType, Serial};
     use hb_dsp::complex::mean_power;
     use hb_dsp::noise::white_noise;
-    use hb_dsp::special::fsk_noncoherent_ber;
     use hb_dsp::units::ratio_from_db;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn modem() -> FskModem {
         FskModem::new(FskParams::mics_default())
+    }
+
+    /// Theoretical BER of noncoherent binary FSK in AWGN,
+    /// `Pb = 0.5 * exp(-Eb/N0 / 2)`, with Eb/N0 as a linear ratio.
+    fn fsk_noncoherent_ber(snr_linear: f64) -> f64 {
+        0.5 * (-snr_linear / 2.0).exp()
     }
 
     #[test]

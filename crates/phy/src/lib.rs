@@ -7,7 +7,6 @@
 //!   eavesdropper's "optimal FSK decoder".
 //! * [`gmsk`] — GMSK modem modeling the Vaisala radiosonde cross-traffic of
 //!   the coexistence experiment (§11).
-//! * [`ofdm`] — OFDM substrate for the wideband antidote extension (§5).
 //! * [`packet`] — the IMD air-frame format: preamble, sync, 10-byte serial,
 //!   CRC-16 (the checksum whose failure makes jammed commands harmless).
 //! * [`matcher`] — the sliding `Sid` identifying-sequence matcher with
@@ -27,7 +26,6 @@ pub mod crc;
 pub mod fsk;
 pub mod gmsk;
 pub mod matcher;
-pub mod ofdm;
 pub mod packet;
 pub mod rssi;
 pub mod stream;

@@ -4,7 +4,6 @@ use hb_phy::bits::{bit_error_rate, bits_to_bytes, bytes_to_bits};
 use hb_phy::crc::{append_crc16, crc16_ccitt, verify_crc16};
 use hb_phy::fsk::{FskModem, FskParams};
 use hb_phy::gmsk::{GmskModem, GmskParams};
-use hb_phy::ofdm::{OfdmModem, OfdmParams};
 use hb_phy::packet::{identifying_sequence, Frame, FrameType, Serial, MAX_PAYLOAD};
 use hb_phy::stream::{DetectorEvent, SidDetection, SidMonitor, StreamingDetector};
 use proptest::prelude::*;
@@ -106,21 +105,6 @@ proptest! {
         // Skip pulse-span edges.
         let ber = bit_error_rate(&bits[2..bits.len() - 2], &rx[2..bits.len() - 2]);
         prop_assert!(ber < 0.02, "ber {}", ber);
-    }
-
-    /// OFDM round-trips any bit pattern through a random flat channel.
-    #[test]
-    fn ofdm_flat_channel_identity(
-        bits in prop::collection::vec(0u8..2, 1..512),
-        gain in 0.2f64..2.0,
-        phase in -3.1f64..3.1,
-    ) {
-        let m = OfdmModem::new(OfdmParams::small());
-        let h = hb_dsp::C64::from_polar(gain, phase);
-        let tx = m.modulate(&bits);
-        let rx_sig: Vec<hb_dsp::C64> = tx.iter().map(|&s| s * h).collect();
-        let rx = m.demodulate(&rx_sig);
-        prop_assert_eq!(&rx[..bits.len()], &bits[..]);
     }
 
     /// CRC is order-sensitive and deterministic.

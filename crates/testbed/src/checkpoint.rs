@@ -214,9 +214,11 @@ impl Journal {
         let kind_line = lines.next()?;
         let (kind_name, k) = kind_line.strip_prefix("kind=")?.split_once(" k=")?;
         let k: usize = k.parse().ok()?;
+        // `k` comes from disk: the vectors grow by the lines actually
+        // present instead of trusting it for an allocation.
         let kind = match kind_name {
             "proportions" => {
-                let mut pools = Vec::with_capacity(k);
+                let mut pools = Vec::new();
                 for _ in 0..k {
                     let line = lines.next()?.strip_prefix("pool ")?;
                     let (s, t) = line.split_once(' ')?;
@@ -229,7 +231,7 @@ impl Journal {
                 JournalKind::Proportions(pools)
             }
             "mean" => {
-                let mut samples = Vec::with_capacity(k);
+                let mut samples = Vec::new();
                 for _ in 0..k {
                     let bits = lines.next()?.strip_prefix("sample ")?;
                     samples.push(f64::from_bits(u64::from_str_radix(bits, 16).ok()?));

@@ -11,7 +11,8 @@
 //! byte-for-byte against the uninterrupted run. The end-to-end version
 //! with a real `exit()` lives in `crates/bench/tests/crash_resume.rs`.
 
-use hb_testbed::checkpoint::{Journal, JournalKind, RunCtl};
+use hb_dsp::checksum::fnv1a64;
+use hb_testbed::checkpoint::{Journal, JournalCfg, JournalKind, RunCtl, JOURNAL_VERSION};
 use hb_testbed::experiments::test_seed;
 use hb_testbed::montecarlo::{
     adaptive_mean_ctl, adaptive_proportions_ctl, trial_seed, Estimate, McConfig, McRun,
@@ -236,6 +237,46 @@ fn corrupt_journals_restart_from_scratch_never_resume_wrong() {
         "a decodable journal is trusted — only the checksum stands between \
          corruption and a wrong resume"
     );
+}
+
+/// Re-wraps a journal payload in a valid integrity header, so the
+/// decoder's payload checks (not the checksum) decide the outcome.
+fn with_valid_header(payload: &str) -> Vec<u8> {
+    let header = format!(
+        "hbjournal v{JOURNAL_VERSION} len={} sum={:016x}\n",
+        payload.len(),
+        fnv1a64(payload.as_bytes())
+    );
+    [header.as_bytes(), payload.as_bytes()].concat()
+}
+
+#[test]
+fn checksum_valid_journal_with_huge_count_is_rejected_not_allocated() {
+    for kind in [JournalKind::Proportions(vec![]), JournalKind::Mean(vec![])] {
+        let journal = Journal {
+            master: 1,
+            cfg: JournalCfg {
+                initial_trials: 4,
+                max_trials: 64,
+                target_half_width: 0.01,
+                z: 1.96,
+                bootstrap_resamples: 0,
+            },
+            done: 0,
+            kind,
+            quarantines: vec![],
+        };
+        let bytes = journal.encode();
+        let (_, payload) = std::str::from_utf8(&bytes)
+            .unwrap()
+            .split_once('\n')
+            .unwrap();
+        // The re-wrapped original decodes, so the header format is right.
+        assert_eq!(Journal::decode(&with_valid_header(payload)), Some(journal));
+        let huge = payload.replace(" k=0\n", &format!(" k={}\n", usize::MAX));
+        assert_ne!(huge, payload);
+        assert_eq!(Journal::decode(&with_valid_header(&huge)), None, "{huge}");
+    }
 }
 
 #[test]

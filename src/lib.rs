@@ -6,8 +6,8 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`dsp`] — complex-baseband DSP (FFT, filters, shaped noise, spectra).
-//! * [`phy`] — FSK/GMSK/OFDM modems, framing, streaming detection.
+//! * [`dsp`] — complex-baseband DSP (FFT, correlator, shaped noise, spectra).
+//! * [`phy`] — FSK/GMSK modems, framing, streaming detection.
 //! * [`channel`] — pathloss/fading models and the shared medium.
 //! * [`mics`] — the 402–405 MHz band plan and FCC rules.
 //! * [`crypto`] — the ChaCha20-Poly1305 programmer channel.
