@@ -284,7 +284,7 @@ fn main() {
         ));
     }
     {
-        // The raw blocked MAC stage alone (stage (a) of the detector):
+        // The sliding-window tone correlator alone (stage (a) of the detector):
         // isolates the correlator kernel from the per-symbol state machine.
         // `detection_correlator` is the exact constructor the production
         // detectors use, so this times the same filter they run.
@@ -295,7 +295,7 @@ fn main() {
         let (mut e0, mut e1) = (Vec::new(), Vec::new());
         timings.push(time_kernel(
             "detector_sweep_24k",
-            "24576 samples through the raw blocked 24-phase MAC stage",
+            "24576 samples through the sliding-window tone correlator (all 24 phases)",
             10 * scale,
             move || {
                 e0.clear();

@@ -959,8 +959,7 @@ fn noise_key(seed: u64, rx: u64, channel: u64, block: u64) -> u64 {
 
 /// Accumulates one surviving pair into the mixture: `dst[i] += src[i]·g`.
 ///
-/// Standalone and `#[inline(never)]` on purpose (the PR-5 correlator
-/// idiom): with `&mut`/`&` slice parameters the optimizer knows `dst`
+/// Standalone and `#[inline(never)]` on purpose: with `&mut`/`&` slice parameters the optimizer knows `dst`
 /// and `src` cannot alias and keeps the accumulation in registers;
 /// inlined into the `&mut self` receive path it would re-derive both
 /// from `self` and emit per-iteration alias checks instead. Identical

@@ -31,10 +31,11 @@
 //! The session channel is demodulated once per block. The frame detector
 //! sweeps the samples, and the session channel's [`SidMonitor`] reuses
 //! its completed energies ([`SidMonitor::push_block_shared`]), which is
-//! bit-identical because both correlators sum the same samples from the
-//! same symbol start. The monitor sweeps for itself only during the first
-//! `sps − 1` samples after it or the detector was reset (a silent
-//! advance, the end of a jam, a retune). While the shield transmits, the
+//! bit-identical because each correlator's energies depend only on the
+//! last `2·sps − 1` samples, and both saw the same ones. The monitor
+//! runs its own correlator only during the first `2·sps − 1` samples
+//! after it or the detector was reset (a silent advance, the end of a
+//! jam, a retune). While the shield transmits, the
 //! half-duplex receiver hears nothing: the detector takes
 //! [`StreamingDetector::push_silence`], exactly a block of zeros, and the
 //! monitor advances silently.

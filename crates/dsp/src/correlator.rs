@@ -1,70 +1,65 @@
-//! Blocked multi-phase matched-filter correlator — the streaming
-//! detection front end shared by `hb_phy`'s `StreamingDetector` and
-//! `SidMonitor`.
+//! Sliding-window tone correlator — the streaming detection front end
+//! shared by `hb_phy`'s `StreamingDetector` and `SidMonitor`.
 //!
 //! # The problem it solves
 //!
 //! A streaming FSK receiver does not know where symbol boundaries fall, so
-//! it correlates the incoming samples against both tone templates at
-//! **every** sub-symbol alignment ("phase") simultaneously: with `sps`
-//! samples per symbol it maintains `sps` pairs of tone accumulators
-//! `(c0, c1)`, and exactly one phase completes a symbol on every sample.
-//! Done naively (one pass over all phases per sample, each reading a
-//! different matched-filter position) this was the simulator's largest
-//! remaining kernel: the per-phase filter positions walk *backwards*
-//! through the template and the accumulators interleave `(c0, c1)` pairs,
-//! so the compiler cannot vectorize the sweep.
+//! it needs the energy of each tone over **every** sub-symbol alignment
+//! ("phase"): with `sps` samples per symbol, exactly one phase completes a
+//! symbol on every sample, and its energy is the matched-filter output
+//! `|Σₖ x[n−sps+1+k]·e^{−iωk}|²` over the last `sps` samples. Kept as `sps`
+//! per-phase accumulators, that costs `2·sps` complex multiply-adds per
+//! sample.
 //!
-//! # The blocked kernel
+//! # The sliding window
 //!
-//! [`MultiPhaseCorrelator`] restructures the sweep so the hot loop is a
-//! dense, branch-free, **forward** pass the compiler autovectorizes, like
-//! [`crate::kernels::boxmuller_batch`]:
+//! Pulling the unit-modulus factor `e^{−iω(n−sps+1)}` out of the sum leaves
+//! `|Σ_{m=n−sps+1..n} x[m]·e^{−iωm}|²`: one running window sum per tone
+//! gives every phase's energy, for O(1) work per sample (the sliding DFT
+//! of Jacobsen & Lyons, IEEE Signal Processing Magazine, 2003).
+//! [`SlidingToneCorrelator`] keeps
 //!
-//! * Accumulators are stored **structure-of-arrays**: contiguous
-//!   `[c0; sps]` then `[c1; sps]` slabs (split further into re/im planes),
-//!   so phase `p`'s update touches four contiguous `f64` streams.
-//! * The matched-filter tables are stored **reversed and doubled**
-//!   (`w[i] = mf[(sps-1-i) mod sps]`, length `2·sps`): for a sample at
-//!   symbol offset `base`, the template value phase `p` needs is
-//!   `w[(sps-1-base) + p]` — a *forward, contiguous* window into the
-//!   table, for every phase, with no modulo in the loop.
-//! * When the two tone templates are exact conjugates (always true for
-//!   binary FSK, whose tones sit at ±deviation), the four shared products
-//!   `s·re`, `s·im` per component serve **both** tones, halving the
-//!   multiply count. The fast path is taken only when the tables are
-//!   bitwise conjugates, and produces bit-identical sums either way.
+//! * a ring of the last `sps` raw samples, indexed by `tick mod sps`;
+//! * the window sums `W0`, `W1`, with every sample's phase referred to the
+//!   start of the current symbol (the last tick `≡ 0 mod sps`);
+//! * one weight table `T[j] = cis(−ω₀·j)` for `j ∈ (−sps, sps)`: a sample
+//!   at symbol offset `b` weighs `T[b]` in the current symbol and
+//!   `T[b − sps]` in the previous one. No tone periodicity is needed, so
+//!   any FSK parameters take the same path.
 //!
-//! The per-sample cost is unchanged in operation *count* (`2·sps` complex
-//! MACs — each accumulator still sees the exact same additions in the
-//! exact same order), but the loop body is straight-line elementwise
-//! arithmetic over disjoint slices, which is what lets LLVM vectorize it.
+//! Per sample at offset `b > 0`: `W0 += x·T[b] − x_old·T[b − sps]`, where
+//! `x_old` is the ring's sample one symbol back. Binary FSK's tones sit at
+//! ±deviation, so the second tone's weights are the conjugates and both
+//! sums share the same four real products per operand.
 //!
-//! # Determinism contract
+//! At every `b = 0` the reference moves to the new symbol, and the sums are
+//! **re-anchored**: recomputed from scratch out of the ring. That bounds
+//! round-off drift to one symbol of updates, and it gives the two exactness
+//! properties the detectors rely on:
 //!
-//! Results are **bit-for-bit identical** to the historical per-sample
-//! sweep: every product is the same two-operand `a.re*b.re - a.im*b.im` /
-//! `a.re*b.im + a.im*b.re` complex multiply, every accumulator receives
-//! its contributions in the same order, and the emitted energies are the
-//! same `re² + im²`. They are also independent of how a stream is chunked
-//! into [`MultiPhaseCorrelator::process_block`] calls (pinned by unit and
-//! property tests, and by `hb_phy`'s old-vs-new detector equivalence
-//! suite). The golden determinism tests in `crates/testbed/tests/golden.rs`
-//! therefore pass unchanged across this kernel swap — no re-capture.
+//! * the energies a sample emits depend only on the last `2·sps − 1`
+//!   samples (the window plus the updates since the last re-anchor), so
+//!   two correlators fed the same `2·sps − 1` samples (counting from a
+//!   [`SlidingToneCorrelator::reset`], if one came later) emit bit-identical
+//!   energies from then on;
+//! * after `2·sps − 1` zero samples every energy is exactly `0.0`, and a
+//!   NaN or infinite sample has left the sums.
+//!
+//! Output is independent of how a stream is chunked into
+//! [`SlidingToneCorrelator::process_block`] calls. It is *not* bit-identical
+//! to the per-phase sweep: the energies agree to round-off (the unit tests
+//! bound the gap at `1e-9·sps·Σ|x|²` against a naive sweep), so only
+//! near-tie hard decisions can differ.
 //!
 //! # Example
 //!
 //! ```
 //! use hb_dsp::complex::C64;
-//! use hb_dsp::correlator::MultiPhaseCorrelator;
+//! use hb_dsp::correlator::SlidingToneCorrelator;
 //! use std::f64::consts::PI;
 //!
 //! // 4 samples/symbol at fs = 8 Hz; tones at -1 Hz (bit 0) and +1 Hz (bit 1).
-//! let sps = 4usize;
-//! let table = |f: f64| -> Vec<C64> {
-//!     (0..sps).map(|n| C64::cis(-2.0 * PI * f * n as f64 / 8.0)).collect()
-//! };
-//! let mut corr = MultiPhaseCorrelator::new(&table(-1.0), &table(1.0));
+//! let mut corr = SlidingToneCorrelator::new(4, -1.0, 8.0);
 //!
 //! // Two symbols of a pure +1 Hz tone ("1" bits), symbol-aligned.
 //! let samples: Vec<C64> = (0..8).map(|n| C64::cis(2.0 * PI * n as f64 / 8.0)).collect();
@@ -78,90 +73,62 @@
 //! ```
 
 use crate::complex::C64;
+use std::f64::consts::PI;
 
-/// A bank of `sps` per-phase `(c0, c1)` tone accumulators driven by a
-/// dense, autovectorizable per-sample MAC loop. See the module docs for
-/// the layout and determinism contract.
+/// Sliding-window energies of a conjugate tone pair over every sub-symbol
+/// alignment. See the module docs for the update, the re-anchor and the
+/// exactness properties.
 #[derive(Debug, Clone)]
-pub struct MultiPhaseCorrelator {
-    sps: usize,
-    /// Reversed, doubled tone-0 template (re plane): `w0re[i]` is the real
-    /// part of `mf0[(sps-1-i) mod sps]`, for `i` in `0..2·sps`.
-    w0re: Vec<f64>,
-    /// Reversed, doubled tone-0 template (im plane).
-    w0im: Vec<f64>,
-    /// Reversed, doubled tone-1 template (re plane) — unused on the fused
-    /// conjugate-pair fast path.
-    w1re: Vec<f64>,
-    /// Reversed, doubled tone-1 template (im plane).
-    w1im: Vec<f64>,
-    /// True when `mf1[i]` is bitwise `conj(mf0[i])` for every `i` (binary
-    /// FSK's ±deviation tones): enables the shared-product fast path,
-    /// which is bit-identical to the generic path under this precondition.
-    conj_pair: bool,
-    /// Per-phase accumulators, structure-of-arrays: `c0` re/im planes then
-    /// `c1` re/im planes, each `sps` long.
-    a0re: Vec<f64>,
-    a0im: Vec<f64>,
-    a1re: Vec<f64>,
-    a1im: Vec<f64>,
+pub struct SlidingToneCorrelator {
+    /// `now[b] = T[b]`: the tone-0 weight of a current-symbol sample at
+    /// offset `b`.
+    now: Vec<C64>,
+    /// `prev[b] = T[b − sps]`: the tone-0 weight of a previous-symbol
+    /// sample at offset `b` (`prev[0]` is never read).
+    prev: Vec<C64>,
+    /// The last `sps` samples, indexed by symbol offset.
+    ring: Vec<C64>,
+    /// Window sums `[W0, W1]` for tone 0 and its conjugate tone 1.
+    w: [C64; 2],
 }
 
-impl MultiPhaseCorrelator {
-    /// Creates a correlator for one-symbol tone templates `mf0`/`mf1`
-    /// (typically `cis(-2π f n / fs)` for the two FSK tones).
+impl SlidingToneCorrelator {
+    /// Creates a correlator for `sps` samples per symbol and the tone pair
+    /// `±tone_hz` at sample rate `fs_hz`: bit 0's tone at `tone_hz`, bit
+    /// 1's at `−tone_hz`. The weights are `cis(−2π·tone_hz·j / fs_hz)`,
+    /// the one-symbol matched filter extended to negative `j`.
     ///
     /// # Panics
-    /// Panics if the templates are empty or of different lengths.
-    pub fn new(mf0: &[C64], mf1: &[C64]) -> Self {
-        assert!(!mf0.is_empty(), "tone templates must not be empty");
-        assert_eq!(
-            mf0.len(),
-            mf1.len(),
-            "tone templates must be the same length"
-        );
-        let sps = mf0.len();
-        // Reversed and doubled: w[i] = mf[(sps-1-i) mod sps]. A sample at
-        // symbol offset `base` then reads the contiguous window starting
-        // at sps-1-base, one template value per phase, no modulo.
-        let rev = |mf: &[C64], f: fn(C64) -> f64| -> Vec<f64> {
-            (0..2 * sps)
-                .map(|i| f(mf[(2 * sps - 1 - i) % sps]))
-                .collect()
-        };
-        let conj_pair = mf0
-            .iter()
-            .zip(mf1.iter())
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && (-a.im).to_bits() == b.im.to_bits());
-        MultiPhaseCorrelator {
-            sps,
-            w0re: rev(mf0, |c| c.re),
-            w0im: rev(mf0, |c| c.im),
-            w1re: rev(mf1, |c| c.re),
-            w1im: rev(mf1, |c| c.im),
-            conj_pair,
-            a0re: vec![0.0; sps],
-            a0im: vec![0.0; sps],
-            a1re: vec![0.0; sps],
-            a1im: vec![0.0; sps],
+    /// Panics if `sps` is zero.
+    pub fn new(sps: usize, tone_hz: f64, fs_hz: f64) -> Self {
+        assert!(sps > 0, "tone table must not be empty (sps = 0)");
+        let weight = |j: f64| C64::cis(-2.0 * PI * tone_hz * j / fs_hz);
+        SlidingToneCorrelator {
+            now: (0..sps).map(|b| weight(b as f64)).collect(),
+            prev: (0..sps).map(|b| weight(b as f64 - sps as f64)).collect(),
+            ring: vec![C64::ZERO; sps],
+            w: [C64::ZERO; 2],
         }
     }
 
-    /// Samples per symbol (the number of phases swept).
+    /// Samples per symbol (the number of alignments covered).
     pub fn sps(&self) -> usize {
-        self.sps
+        self.ring.len()
     }
 
-    /// Zeroes every phase accumulator (the tables are immutable).
+    /// How many of the latest samples an emitted energy depends on:
+    /// `2·sps − 1` (see the module docs). Two correlators fed the same
+    /// `memory()` samples since their last resets emit identical energies,
+    /// and `memory()` zero samples make every energy exactly `0.0`.
+    pub fn memory(&self) -> usize {
+        2 * self.sps() - 1
+    }
+
+    /// Forgets every sample: the ring and both sums return to zero (the
+    /// weight tables are immutable).
     pub fn reset(&mut self) {
-        for a in [
-            &mut self.a0re,
-            &mut self.a0im,
-            &mut self.a1re,
-            &mut self.a1im,
-        ] {
-            a.fill(0.0);
-        }
+        self.ring.fill(C64::ZERO);
+        self.w = [C64::ZERO; 2];
     }
 
     /// Consumes `samples`, appending one `(e0, e1)` energy pair per sample
@@ -169,10 +136,8 @@ impl MultiPhaseCorrelator {
     ///
     /// `base0` is the symbol offset of the first sample (`tick mod sps` in
     /// the caller's sample clock). The sample at offset `base` completes
-    /// the symbol of phase `(base + 1) mod sps`: its accumulated tone
-    /// correlations are emitted as squared magnitudes and the phase's
-    /// accumulators are zeroed for the next symbol. Callers recover the
-    /// completing phase as `(tick + 1) mod sps`.
+    /// the symbol of phase `(base + 1) mod sps`, whose window is the last
+    /// `sps` samples; samples from before a [`Self::reset`] count as zeros.
     ///
     /// Output is appended (the buffers are not cleared), and is identical
     /// no matter how a stream is split across calls.
@@ -186,252 +151,124 @@ impl MultiPhaseCorrelator {
         e0_out: &mut Vec<f64>,
         e1_out: &mut Vec<f64>,
     ) {
-        assert!(base0 < self.sps, "base0 {base0} out of range");
-        e0_out.reserve(samples.len());
-        e1_out.reserve(samples.len());
-        if self.conj_pair {
-            mac_block_fused(
-                samples,
-                base0,
-                &self.w0re,
-                &self.w0im,
-                &mut self.a0re,
-                &mut self.a0im,
-                &mut self.a1re,
-                &mut self.a1im,
-                e0_out,
-                e1_out,
-            );
-        } else {
-            mac_block_generic(
-                samples,
-                base0,
-                [&self.w0re, &self.w0im, &self.w1re, &self.w1im],
-                &mut self.a0re,
-                &mut self.a0im,
-                &mut self.a1re,
-                &mut self.a1im,
-                e0_out,
-                e1_out,
-            );
-        }
+        assert!(base0 < self.sps(), "base0 {base0} out of range");
+        let start = e0_out.len();
+        e0_out.resize(start + samples.len(), 0.0);
+        e1_out.resize(start + samples.len(), 0.0);
+        slide_block(
+            samples,
+            base0,
+            &self.now,
+            &self.prev,
+            &mut self.ring,
+            &mut self.w,
+            &mut e0_out[start..],
+            &mut e1_out[start..],
+        );
     }
 }
 
-/// The fused conjugate-pair MAC stage: mf1 = conj(mf0), so the four
-/// products `sr·tr`, `si·ti`, `sr·ti`, `si·tr` serve both tones —
-/// bit-identical to the generic path (multiplying by a negated factor
-/// negates the product exactly, and `x−(−y) ≡ x+y` in IEEE 754).
+/// The per-sample window update over one block, one symbol run at a
+/// time: a run starts at offset `base` (re-anchoring first when that is 0)
+/// and slides through the end of the symbol or of the block, so the inner
+/// loop walks the tables, the ring and the outputs in lockstep with no
+/// branch, modulo or bounds check.
 ///
-/// A standalone function on purpose (and `inline(never)`): the `&mut`
-/// slice parameters carry `noalias` across the call boundary, which is
-/// what lets LLVM vectorize the inner loop without emitting runtime
-/// alias checks between the accumulator planes and the table windows on
-/// every sample. (Inlined into the caller, everything is reached through
-/// `self` and the vectorizer guards each sample with a pile of overlap
-/// tests — measurably slower than the scalar sweep it replaces.)
+/// A standalone `#[inline(never)]` function on purpose: the `&mut` slice
+/// parameters carry `noalias` across the call boundary, so the ring, the
+/// tables and the outputs need no per-sample overlap checks (reached
+/// through `self`, LLVM cannot prove them disjoint).
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn mac_block_fused(
+fn slide_block(
     samples: &[C64],
     base0: usize,
-    wre: &[f64],
-    wim: &[f64],
-    a0r: &mut [f64],
-    a0i: &mut [f64],
-    a1r: &mut [f64],
-    a1i: &mut [f64],
-    e0_out: &mut Vec<f64>,
-    e1_out: &mut Vec<f64>,
+    now: &[C64],
+    prev: &[C64],
+    ring: &mut [C64],
+    w: &mut [C64; 2],
+    e0_out: &mut [f64],
+    e1_out: &mut [f64],
 ) {
-    let sps = a0r.len();
-    let a0i = &mut a0i[..sps];
-    let a1r = &mut a1r[..sps];
-    let a1i = &mut a1i[..sps];
+    let sps = ring.len();
+    let [mut w0, mut w1] = *w;
     let mut base = base0;
-    // Samples are consumed two at a time: the accumulator planes are then
-    // loaded and stored once per *pair* instead of once per sample, which
-    // halves the store traffic the loop is actually bound by. Both
-    // contributions are applied as two sequential adds per lane, so every
-    // accumulator sees the exact rounding sequence of the one-sample-at-a-
-    // time walk. The one phase that completes *between* the two samples
-    // (`p1`) gets a scalar pre-step (its energies read the state after the
-    // first sample only) and a post-loop fix-up (its fresh symbol restarts
-    // from zero plus the second sample's contribution) — both computed
-    // with the identical products and adds, so the pair walk is
-    // bit-for-bit the same as the scalar walk.
-    let mut pairs = samples.chunks_exact(2);
-    for pair in &mut pairs {
-        let (sr0, si0) = (pair[0].re, pair[0].im);
-        let (sr1, si1) = (pair[1].re, pair[1].im);
-        let start0 = sps - 1 - base;
-        let p1 = if base + 1 == sps { 0 } else { base + 1 };
-        let start1 = sps - 1 - p1;
-        let p2 = if p1 + 1 == sps { 0 } else { p1 + 1 };
-
-        // Phase p1 completes after the first sample: extract its energies
-        // from (carried + first contribution) before the pair loop runs.
-        let (wr, wi) = (wre[start0 + p1], wim[start0 + p1]);
-        let t1 = sr0 * wr;
-        let t2 = si0 * wi;
-        let t3 = sr0 * wi;
-        let t4 = si0 * wr;
-        let i0r = a0r[p1] + (t1 - t2);
-        let i0i = a0i[p1] + (t3 + t4);
-        let i1r = a1r[p1] + (t1 + t2);
-        let i1i = a1i[p1] + (t4 - t3);
-        e0_out.push(i0r * i0r + i0i * i0i);
-        e1_out.push(i1r * i1r + i1i * i1i);
-
-        let wr0 = &wre[start0..start0 + sps];
-        let wi0 = &wim[start0..start0 + sps];
-        let wr1 = &wre[start1..start1 + sps];
-        let wi1 = &wim[start1..start1 + sps];
-        for p in 0..sps {
-            let t1 = sr0 * wr0[p];
-            let t2 = si0 * wi0[p];
-            let t3 = sr0 * wi0[p];
-            let t4 = si0 * wr0[p];
-            let mut r0 = a0r[p] + (t1 - t2);
-            let mut i0 = a0i[p] + (t3 + t4);
-            let mut r1 = a1r[p] + (t1 + t2);
-            let mut i1 = a1i[p] + (t4 - t3);
-            let u1 = sr1 * wr1[p];
-            let u2 = si1 * wi1[p];
-            let u3 = sr1 * wi1[p];
-            let u4 = si1 * wr1[p];
-            r0 += u1 - u2;
-            i0 += u3 + u4;
-            r1 += u1 + u2;
-            i1 += u4 - u3;
-            a0r[p] = r0;
-            a0i[p] = i0;
-            a1r[p] = r1;
-            a1i[p] = i1;
+    let mut start = 0;
+    while start < samples.len() {
+        let end = samples.len().min(start + sps - base);
+        let mut from = start;
+        if base == 0 {
+            // A new symbol starts: re-anchor both sums on the ring, whose
+            // other entries all belong to the previous symbol.
+            let x = samples[start];
+            [w0, w1] = tone_pair(x, now[0]);
+            for (&y, &u) in ring[1..].iter().zip(&prev[1..sps]) {
+                let [q0, q1] = tone_pair(y, u);
+                w0 += q0;
+                w1 += q1;
+            }
+            ring[0] = x;
+            e0_out[start] = w0.norm_sq();
+            e1_out[start] = w1.norm_sq();
+            base = 1;
+            from += 1;
         }
-
-        // Fix up p1: its completed symbol was emitted above, so its fresh
-        // accumulator restarts from zero plus the second sample's
-        // contribution (`0.0 + x`, exactly as the scalar walk computes it).
-        let (wr, wi) = (wre[start1 + p1], wim[start1 + p1]);
-        let u1 = sr1 * wr;
-        let u2 = si1 * wi;
-        let u3 = sr1 * wi;
-        let u4 = si1 * wr;
-        a0r[p1] = 0.0 + (u1 - u2);
-        a0i[p1] = 0.0 + (u3 + u4);
-        a1r[p1] = 0.0 + (u1 + u2);
-        a1i[p1] = 0.0 + (u4 - u3);
-
-        // Phase p2 completes after the second sample: extract and clear.
-        e0_out.push(a0r[p2] * a0r[p2] + a0i[p2] * a0i[p2]);
-        e1_out.push(a1r[p2] * a1r[p2] + a1i[p2] * a1i[p2]);
-        a0r[p2] = 0.0;
-        a0i[p2] = 0.0;
-        a1r[p2] = 0.0;
-        a1i[p2] = 0.0;
-        base = p2;
-    }
-    // Odd trailing sample: the plain one-sample walk.
-    for &s in pairs.remainder() {
-        let (sr, si) = (s.re, s.im);
-        let start = sps - 1 - base;
-        let wr = &wre[start..start + sps];
-        let wi = &wim[start..start + sps];
-        for p in 0..sps {
-            let t1 = sr * wr[p];
-            let t2 = si * wi[p];
-            let t3 = sr * wi[p];
-            let t4 = si * wr[p];
-            a0r[p] += t1 - t2;
-            a0i[p] += t3 + t4;
-            a1r[p] += t1 + t2;
-            a1i[p] += t4 - t3;
+        let k = base + (end - from);
+        let inputs = samples[from..end]
+            .iter()
+            .zip(&now[base..k])
+            .zip(&prev[base..k]);
+        let state = ring[base..k]
+            .iter_mut()
+            .zip(e0_out[from..end].iter_mut().zip(&mut e1_out[from..end]));
+        for (((&x, &t), &u), (y, (e0, e1))) in inputs.zip(state) {
+            // Slide: x·T[b] enters, the sample one symbol back (·T[b − sps])
+            // leaves.
+            let [p0, p1] = tone_pair(x, t);
+            let [q0, q1] = tone_pair(*y, u);
+            w0 += p0 - q0;
+            w1 += p1 - q1;
+            *y = x;
+            *e0 = w0.norm_sq();
+            *e1 = w1.norm_sq();
         }
-        let p = if base + 1 == sps { 0 } else { base + 1 };
-        e0_out.push(a0r[p] * a0r[p] + a0i[p] * a0i[p]);
-        e1_out.push(a1r[p] * a1r[p] + a1i[p] * a1i[p]);
-        a0r[p] = 0.0;
-        a0i[p] = 0.0;
-        a1r[p] = 0.0;
-        a1i[p] = 0.0;
-        base = p;
+        base = if k == sps { 0 } else { k };
+        start = end;
     }
+    *w = [w0, w1];
 }
 
-/// The generic two-table MAC stage (templates with no conjugate
-/// relation). Same structure and `noalias` rationale as
-/// [`mac_block_fused`].
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn mac_block_generic(
-    samples: &[C64],
-    base0: usize,
-    tables: [&[f64]; 4],
-    a0r: &mut [f64],
-    a0i: &mut [f64],
-    a1r: &mut [f64],
-    a1i: &mut [f64],
-    e0_out: &mut Vec<f64>,
-    e1_out: &mut Vec<f64>,
-) {
-    let [w0re, w0im, w1re, w1im] = tables;
-    let sps = a0r.len();
-    let a0i = &mut a0i[..sps];
-    let a1r = &mut a1r[..sps];
-    let a1i = &mut a1i[..sps];
-    let mut base = base0;
-    for &s in samples {
-        let (sr, si) = (s.re, s.im);
-        let start = sps - 1 - base;
-        let w0r = &w0re[start..start + sps];
-        let w0i = &w0im[start..start + sps];
-        let w1r = &w1re[start..start + sps];
-        let w1i = &w1im[start..start + sps];
-        for p in 0..sps {
-            a0r[p] += sr * w0r[p] - si * w0i[p];
-            a0i[p] += sr * w0i[p] + si * w0r[p];
-            a1r[p] += sr * w1r[p] - si * w1i[p];
-            a1i[p] += sr * w1i[p] + si * w1r[p];
-        }
-        let p = if base + 1 == sps { 0 } else { base + 1 };
-        e0_out.push(a0r[p] * a0r[p] + a0i[p] * a0i[p]);
-        e1_out.push(a1r[p] * a1r[p] + a1i[p] * a1i[p]);
-        a0r[p] = 0.0;
-        a0i[p] = 0.0;
-        a1r[p] = 0.0;
-        a1i[p] = 0.0;
-        base = p;
-    }
+/// `[x·t, x·conj(t)]`, the sample's terms for a tone and its conjugate,
+/// from four shared real products.
+#[inline(always)]
+fn tone_pair(x: C64, t: C64) -> [C64; 2] {
+    let (a, b, c, d) = (x.re * t.re, x.im * t.im, x.re * t.im, x.im * t.re);
+    [C64::new(a - b, c + d), C64::new(a + b, d - c)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::f64::consts::PI;
 
-    /// The historical per-sample sweep (PR 1–4's `sweep_phases`): the
-    /// semantic and bit-exactness reference for the blocked kernel.
+    /// The per-phase matched-filter sweep: `sps` zero-started accumulators
+    /// per tone, one completing per sample. The semantic oracle for the
+    /// sliding window.
     fn naive_sweep(
         mf0: &[C64],
         mf1: &[C64],
         samples: &[C64],
         base0: usize,
-        accum: &mut [(C64, C64)],
     ) -> (Vec<f64>, Vec<f64>) {
         let sps = mf0.len();
+        let mut accum = vec![(C64::ZERO, C64::ZERO); sps];
         let (mut e0s, mut e1s) = (Vec::new(), Vec::new());
         let mut base = base0;
         for &s in samples {
-            for (p, acc) in accum[..=base].iter_mut().enumerate() {
-                let pos = base - p;
-                acc.0 += s * mf0[pos];
-                acc.1 += s * mf1[pos];
-            }
-            for (off, acc) in accum[base + 1..].iter_mut().enumerate() {
-                let pos = sps - 1 - off;
+            for (p, acc) in accum.iter_mut().enumerate() {
+                let pos = (base + sps - p) % sps;
                 acc.0 += s * mf0[pos];
                 acc.1 += s * mf1[pos];
             }
@@ -444,13 +281,15 @@ mod tests {
         (e0s, e1s)
     }
 
-    fn fsk_tables(sps: usize, dev_frac: f64) -> (Vec<C64>, Vec<C64>) {
+    /// The one-symbol matched filters of the tone pair `±tone_hz`, built
+    /// the way the streaming detectors build them.
+    fn templates(sps: usize, tone_hz: f64, fs_hz: f64) -> (Vec<C64>, Vec<C64>) {
         let make = |f: f64| -> Vec<C64> {
             (0..sps)
-                .map(|n| C64::cis(-2.0 * PI * f * n as f64 / sps as f64))
+                .map(|n| C64::cis(-2.0 * PI * f * n as f64 / fs_hz))
                 .collect()
         };
-        (make(-dev_frac), make(dev_frac))
+        (make(tone_hz), make(-tone_hz))
     }
 
     fn random_samples(rng: &mut StdRng, n: usize) -> Vec<C64> {
@@ -459,66 +298,147 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_naive_sweep_bit_for_bit_fsk_tables() {
-        // Real FSK tables (conjugate tone pair -> fused fast path).
-        let mut rng = StdRng::seed_from_u64(21);
-        for sps in [1usize, 2, 3, 8, 24] {
-            let (mf0, mf1) = fsk_tables(sps, 4.0);
-            let samples = random_samples(&mut rng, 5 * sps + 3);
-            for base0 in [0, sps - 1, sps / 2] {
-                let mut corr = MultiPhaseCorrelator::new(&mf0, &mf1);
-                let (mut e0, mut e1) = (Vec::new(), Vec::new());
-                corr.process_block(&samples, base0, &mut e0, &mut e1);
-                let mut accum = vec![(C64::ZERO, C64::ZERO); sps];
-                let (r0, r1) = naive_sweep(&mf0, &mf1, &samples, base0, &mut accum);
-                for i in 0..samples.len() {
-                    assert_eq!(e0[i].to_bits(), r0[i].to_bits(), "sps {sps} e0[{i}]");
-                    assert_eq!(e1[i].to_bits(), r1[i].to_bits(), "sps {sps} e1[{i}]");
+    /// Unit-power FSK with ±`tone_hz` tones at 300 kHz (a random bit per
+    /// symbol, random symbol offset) plus complex white noise at `snr_db`.
+    fn fsk_in_noise(rng: &mut StdRng, n: usize, sps: usize, tone_hz: f64, snr_db: f64) -> Vec<C64> {
+        let offset = rng.gen_range(0..sps);
+        let (mut phase, mut f) = (0.0f64, tone_hz);
+        let tones: Vec<C64> = (0..n)
+            .map(|i| {
+                if (i + offset) % sps == 0 {
+                    f = if rng.gen::<bool>() { tone_hz } else { -tone_hz };
+                }
+                phase += 2.0 * PI * f / 300e3;
+                C64::cis(phase)
+            })
+            .collect();
+        let noise = crate::noise::white_noise(rng, n, 10f64.powf(-snr_db / 10.0));
+        tones.iter().zip(&noise).map(|(&t, &w)| t + w).collect()
+    }
+
+    /// Runs `samples` through a fresh correlator in random chunks.
+    fn run_chunked(
+        corr: &mut SlidingToneCorrelator,
+        rng: &mut StdRng,
+        samples: &[C64],
+        base0: usize,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let sps = corr.sps();
+        let (mut e0, mut e1) = (Vec::new(), Vec::new());
+        let mut off = 0;
+        while off < samples.len() {
+            let take = rng.gen_range(1..=(samples.len() - off).min(3 * sps + 5));
+            corr.process_block(
+                &samples[off..off + take],
+                (base0 + off) % sps,
+                &mut e0,
+                &mut e1,
+            );
+            off += take;
+        }
+        (e0, e1)
+    }
+
+    proptest! {
+        /// Against the per-phase sweep: every energy within
+        /// `1e-9·sps·Σ|x|²` over the samples it depends on (the last
+        /// `2·sps − 1`), and the same hard decision wherever the tones are
+        /// not a near-tie. Random input and FSK at 0–30 dB SNR, every
+        /// detector `sps`, random start offsets and chunkings.
+        #[test]
+        fn energies_match_naive_sweep(
+            seed in any::<u64>(),
+            sps_idx in 0usize..4,
+            snr_db in 0.0f64..30.0,
+            fsk in any::<bool>(),
+        ) {
+            let sps = [1usize, 6, 12, 24][sps_idx];
+            let fs_hz = 300e3;
+            let tone_hz = -50e3;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = 40 * sps + rng.gen_range(0..sps);
+            let samples = if fsk {
+                fsk_in_noise(&mut rng, n, sps, tone_hz, snr_db)
+            } else {
+                random_samples(&mut rng, n)
+            };
+            let base0 = rng.gen_range(0..sps);
+            let (mf0, mf1) = templates(sps, tone_hz, fs_hz);
+            let (r0, r1) = naive_sweep(&mf0, &mf1, &samples, base0);
+            let mut corr = SlidingToneCorrelator::new(sps, tone_hz, fs_hz);
+            let (e0, e1) = run_chunked(&mut corr, &mut rng, &samples, base0);
+            prop_assert_eq!(e0.len(), n);
+            for i in 0..n {
+                let lo = (i + 1).saturating_sub(2 * sps - 1);
+                let power: f64 = samples[lo..=i].iter().map(|x| x.norm_sq()).sum();
+                let tol = 1e-9 * sps as f64 * power;
+                prop_assert!((e0[i] - r0[i]).abs() <= tol, "e0[{}]: {} vs {}", i, e0[i], r0[i]);
+                prop_assert!((e1[i] - r1[i]).abs() <= tol, "e1[{}]: {} vs {}", i, e1[i], r1[i]);
+                if (r1[i] - r0[i]).abs() > 1e-9 * (r0[i] + r1[i]) {
+                    prop_assert!((e1[i] > e0[i]) == (r1[i] > r0[i]), "decision {}", i);
                 }
             }
         }
     }
 
     #[test]
-    fn matches_naive_sweep_bit_for_bit_arbitrary_tables() {
-        // Unrelated tables (no conjugate structure -> generic path).
-        let mut rng = StdRng::seed_from_u64(33);
-        let sps = 7;
-        let mf0: Vec<C64> = random_samples(&mut rng, sps);
-        let mf1: Vec<C64> = random_samples(&mut rng, sps);
-        let samples = random_samples(&mut rng, 100);
-        let mut corr = MultiPhaseCorrelator::new(&mf0, &mf1);
-        assert!(!corr.conj_pair, "random tables must take the generic path");
+    fn odd_fsk_parameters_match_naive_sweep() {
+        // Tones that are not periodic in the symbol take the same path.
+        let mut rng = StdRng::seed_from_u64(21);
+        let (sps, tone_hz, fs_hz) = (7usize, 12_347.0, 44_100.0);
+        let samples = random_samples(&mut rng, 30 * sps + 3);
+        let (mf0, mf1) = templates(sps, tone_hz, fs_hz);
+        let (r0, r1) = naive_sweep(&mf0, &mf1, &samples, 3);
+        let mut corr = SlidingToneCorrelator::new(sps, tone_hz, fs_hz);
         let (mut e0, mut e1) = (Vec::new(), Vec::new());
         corr.process_block(&samples, 3, &mut e0, &mut e1);
-        let mut accum = vec![(C64::ZERO, C64::ZERO); sps];
-        let (r0, r1) = naive_sweep(&mf0, &mf1, &samples, 3, &mut accum);
         for i in 0..samples.len() {
-            assert_eq!(e0[i].to_bits(), r0[i].to_bits(), "e0[{i}]");
-            assert_eq!(e1[i].to_bits(), r1[i].to_bits(), "e1[{i}]");
+            assert!((e0[i] - r0[i]).abs() < 1e-12, "e0[{i}]");
+            assert!((e1[i] - r1[i]).abs() < 1e-12, "e1[{i}]");
         }
     }
 
     #[test]
-    fn fsk_tables_take_the_fused_path() {
-        // The ±deviation FSK tone tables are exact conjugates on this
-        // platform's libm, so the shared-product path must engage.
-        let (mf0, mf1) = fsk_tables(24, 4.0);
-        let corr = MultiPhaseCorrelator::new(&mf0, &mf1);
-        assert!(corr.conj_pair);
+    fn energies_forget_everything_older_than_memory() {
+        // Two correlators with different pasts, one of them reset, agree
+        // bit for bit once both have seen the same `memory()` samples; a
+        // NaN/inf past included. And `memory()` zeros give exact zeros.
+        let mut rng = StdRng::seed_from_u64(99);
+        for sps in [1usize, 6, 24] {
+            for base0 in [0, sps / 2, sps - 1] {
+                let mut a = SlidingToneCorrelator::new(sps, -50e3, 300e3);
+                let mut b = a.clone();
+                let (mut e0, mut e1) = (Vec::new(), Vec::new());
+                let junk = [C64::new(f64::NAN, 1.0), C64::new(f64::INFINITY, 0.0)];
+                a.process_block(&random_samples(&mut rng, 3 * sps), 0, &mut e0, &mut e1);
+                a.process_block(&junk, 0, &mut e0, &mut e1);
+                b.process_block(&random_samples(&mut rng, sps + 1), 0, &mut e0, &mut e1);
+                b.reset();
+                let m = a.memory();
+                let common = random_samples(&mut rng, 4 * sps);
+                let (mut a0, mut a1, mut b0, mut b1) = (vec![], vec![], vec![], vec![]);
+                a.process_block(&common, base0, &mut a0, &mut a1);
+                b.process_block(&common, base0, &mut b0, &mut b1);
+                for i in m - 1..common.len() {
+                    assert_eq!(a0[i].to_bits(), b0[i].to_bits(), "sps {sps} e0[{i}]");
+                    assert_eq!(a1[i].to_bits(), b1[i].to_bits(), "sps {sps} e1[{i}]");
+                }
+                let (mut z0, mut z1) = (vec![], vec![]);
+                a.process_block(&vec![C64::ZERO; m], base0, &mut z0, &mut z1);
+                assert_eq!((z0[m - 1], z1[m - 1]), (0.0, 0.0), "sps {sps}");
+            }
+        }
     }
 
     #[test]
     fn chunking_does_not_change_the_output() {
         let mut rng = StdRng::seed_from_u64(55);
         let sps = 24;
-        let (mf0, mf1) = fsk_tables(sps, 4.0);
         let samples = random_samples(&mut rng, 400);
-        let mut whole = MultiPhaseCorrelator::new(&mf0, &mf1);
+        let mut whole = SlidingToneCorrelator::new(sps, -50e3, 300e3);
         let (mut e0w, mut e1w) = (Vec::new(), Vec::new());
         whole.process_block(&samples, 0, &mut e0w, &mut e1w);
-        let mut chunked = MultiPhaseCorrelator::new(&mf0, &mf1);
+        let mut chunked = SlidingToneCorrelator::new(sps, -50e3, 300e3);
         let (mut e0c, mut e1c) = (Vec::new(), Vec::new());
         let mut off = 0usize;
         for n in [1usize, 7, 16, 23, 24, 25, 100, 400] {
@@ -540,9 +460,8 @@ mod tests {
     fn reset_clears_partial_symbols() {
         let mut rng = StdRng::seed_from_u64(77);
         let sps = 6;
-        let (mf0, mf1) = fsk_tables(sps, 2.0);
         let samples = random_samples(&mut rng, 50);
-        let mut a = MultiPhaseCorrelator::new(&mf0, &mf1);
+        let mut a = SlidingToneCorrelator::new(sps, -100e3, 300e3);
         let (mut e0, mut e1) = (Vec::new(), Vec::new());
         // Pollute with a partial block, then reset.
         a.process_block(&samples[..4], 0, &mut e0, &mut e1);
@@ -550,7 +469,7 @@ mod tests {
         e0.clear();
         e1.clear();
         a.process_block(&samples, 0, &mut e0, &mut e1);
-        let mut fresh = MultiPhaseCorrelator::new(&mf0, &mf1);
+        let mut fresh = SlidingToneCorrelator::new(sps, -100e3, 300e3);
         let (mut f0, mut f1) = (Vec::new(), Vec::new());
         fresh.process_block(&samples, 0, &mut f0, &mut f1);
         for i in 0..samples.len() {
@@ -561,8 +480,7 @@ mod tests {
 
     #[test]
     fn output_is_appended_not_overwritten() {
-        let (mf0, mf1) = fsk_tables(4, 1.0);
-        let mut corr = MultiPhaseCorrelator::new(&mf0, &mf1);
+        let mut corr = SlidingToneCorrelator::new(4, -1.0, 4.0);
         let (mut e0, mut e1) = (vec![-1.0], vec![-2.0]);
         corr.process_block(&[C64::ONE; 3], 0, &mut e0, &mut e1);
         assert_eq!(e0.len(), 4);
@@ -573,14 +491,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_base() {
-        let (mf0, mf1) = fsk_tables(4, 1.0);
-        let mut corr = MultiPhaseCorrelator::new(&mf0, &mf1);
+        let mut corr = SlidingToneCorrelator::new(4, -1.0, 4.0);
         corr.process_block(&[C64::ONE], 4, &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "must not be empty")]
     fn rejects_empty_tables() {
-        let _ = MultiPhaseCorrelator::new(&[], &[]);
+        let _ = SlidingToneCorrelator::new(0, -1.0, 4.0);
     }
 }

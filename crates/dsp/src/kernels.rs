@@ -23,10 +23,10 @@
 //! The same batched, branch-free design recurs across the crate's hot
 //! paths: [`crate::noise::NoiseSource`] stages uniforms and runs
 //! [`boxmuller_batch`] in place, [`crate::osc`] replaces per-sample trig
-//! with phase recurrences, and [`crate::correlator`] turns the streaming
-//! detector's per-sample phase sweep into dense vectorizable MAC loops.
-//! All of them are exact-rounding-order deterministic, so the golden
-//! suite pins their outputs bit-for-bit.
+//! with phase recurrences, and [`crate::correlator`] replaces the
+//! streaming detector's per-sample phase sweep with one running window
+//! sum per tone. All of them are exact-rounding-order deterministic, so
+//! the golden suite pins their outputs bit-for-bit.
 
 /// Scalar core of [`ln_batch`]: branch-free base-2 decomposition plus an
 /// `atanh`-series polynomial. `#[inline(always)]` so the batch loops fuse

@@ -8,9 +8,9 @@
 //!
 //! * [`fft`] — radix-2 FFT/IFFT with cached plans (spectral noise
 //!   shaping and Welch PSD).
-//! * [`correlator`] — the blocked multi-phase matched-filter correlator
-//!   behind `hb_phy`'s streaming detector and Sid monitor (dense,
-//!   autovectorizable per-phase tone accumulation).
+//! * [`correlator`] — the sliding-window tone correlator behind
+//!   `hb_phy`'s streaming detector and Sid monitor (every sub-symbol
+//!   phase's tone energies at O(1) cost per sample).
 //! * [`kernels`] — batched, branch-free `ln`/`sincos` kernels for the hot
 //!   noise and oscillator paths (autovectorizable).
 //! * [`noise`] — white and **PSD-shaped** Gaussian noise (the jamming

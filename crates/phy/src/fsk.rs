@@ -86,7 +86,7 @@ pub struct FskModem {
     params: FskParams,
     /// Tone-0 matched-filter phasor table (one symbol long, conjugated),
     /// split into SoA re/im planes so the blocked demodulator kernels take
-    /// plain `&[f64]` operands (the PR-5 correlator layout).
+    /// plain `&[f64]` operands.
     mf0_re: Vec<f64>,
     mf0_im: Vec<f64>,
     /// Tone-1 planes — only read by the generic kernel when the tables are
@@ -165,7 +165,7 @@ impl FskModem {
     /// symbol in `samples`: parallel `(e0, e1)` vectors of the squared
     /// correlation magnitudes against the 0-tone and 1-tone.
     ///
-    /// Blocked layout (PR-5 correlator idiom): [`DEMOD_LANES`] symbols are
+    /// Blocked layout: [`DEMOD_LANES`] symbols are
     /// correlated at once with independent scalar accumulator chains, so
     /// the per-symbol add-latency chain of the historical scalar walk
     /// (kept under `#[cfg(test)] mod reference`) no longer bounds

@@ -12,7 +12,7 @@
 //! * [`matcher`] — the sliding `Sid` identifying-sequence matcher with
 //!   `bthresh` tolerance (§7's active-protection trigger).
 //! * [`stream`] — continuous block-at-a-time detection: the streaming
-//!   frame detector and Sid monitor, both riding the blocked multi-phase
+//!   frame detector and Sid monitor, both riding the sliding-window tone
 //!   correlator in `hb_dsp::correlator`.
 //! * [`rssi`] — RSSI estimation and energy-based carrier sensing
 //!   (listen-before-talk, Pthresh alarm measurements).

@@ -4,39 +4,42 @@
 //! Real receivers do not see tidy, pre-aligned sample buffers; they watch
 //! the channel continuously. [`StreamingDetector`] consumes sample blocks
 //! as the medium produces them and emits events when it finds and finishes
-//! frames. It maintains one matched-filter accumulator per sub-symbol
-//! alignment ("phase"), demodulates a bit stream per phase, and runs a
+//! frames. It tracks the tone energies of every sub-symbol alignment
+//! ("phase"), demodulates a bit stream per phase, and runs a
 //! sync-pattern matcher on each stream. When a pattern hits, the detector
 //! locks onto that phase, collects the frame's bits (using the length
 //! field to know when to stop), and emits the parse result — including CRC
 //! failures, which is exactly what an IMD sees when the shield jams a
 //! command addressed to it.
 //!
-//! # The two-stage blocked pipeline
+//! # The two-stage pipeline
 //!
 //! Both [`StreamingDetector`] and [`SidMonitor`] split each `push_block`
 //! call into two stages around the shared
-//! [`hb_dsp::correlator::MultiPhaseCorrelator`] kernel:
+//! [`hb_dsp::correlator::SlidingToneCorrelator`] kernel:
 //!
-//! * **Stage (a), hot** — the whole input block flows through the dense
-//!   multi-phase MAC sweep. With `sps` samples per symbol, every sample
-//!   updates all `sps` per-phase `(c0, c1)` tone accumulators (contiguous
-//!   structure-of-arrays layout, branch-free forward loops over reversed
-//!   cis tables — see the correlator's module docs), and exactly one
-//!   phase completes a symbol per sample. The completed energies
-//!   `(e0, e1) = (|c0|², |c1|²)` land in per-block scratch buffers.
+//! * **Stage (a), hot** — the whole input block flows through the
+//!   sliding-window tone correlator. With `sps` samples per symbol,
+//!   exactly one phase completes a symbol per sample, and its window is
+//!   the last `sps` samples, so one running sum per tone gives every
+//!   phase's energies `(e0, e1)` at O(1) cost per sample (see the
+//!   correlator's module docs). They land in per-block scratch buffers.
 //! * **Stage (b), cold** — a per-symbol walk over the scratch runs
 //!   everything with state-machine branches: bit decisions, margin
 //!   tracking, sync matching, phase arbitration, lock/frame collection.
 //!
-//! **The blocked-correlator invariant:** stage (a) is a pure function of
-//! the sample stream — no detector state (lock, candidates, matchers)
-//! feeds back into the accumulators, and the accumulators' contributions
-//! arrive in exactly the per-sample order the historical sweep used.
-//! Every demodulated bit stream, event, tick and power value is therefore
-//! **bit-for-bit identical** to the pre-blocked implementation (kept
-//! under `#[cfg(test)]` as `reference` and pinned by equivalence property
-//! tests), and independent of how the stream is chunked into blocks.
+//! **The stage (a) invariant:** the energies are a pure function of the
+//! sample stream since the last reset. No detector state (lock,
+//! candidates, matchers) feeds back into the correlator, and its output
+//! does not depend on how the stream is chunked into blocks. Each energy
+//! depends on the last `2·sps − 1` samples only (the window plus the
+//! updates since the correlator's once-per-symbol re-anchor), which the
+//! two shortcuts below build on. The energies are not bit-identical to a
+//! per-phase matched-filter sweep, only equal to round-off, so a near-tie
+//! bit decision can differ. The per-phase sweep detectors stay under
+//! `#[cfg(test)]` as `reference`: the equivalence property tests require
+//! the same events (ticks, frames and power values bit for bit) from
+//! both on noisy frames at every chunking.
 //!
 //! # Phase-arbitration rules
 //!
@@ -57,14 +60,16 @@
 //! exactly `push_block(&[C64::ZERO; n])`, and is cheaper in two steps
 //! that each follow from the zero input:
 //!
-//! 1. The first `sps − 1` samples of a silent run go through both stages
-//!    as usual: the symbols completing there still hold samples from
-//!    before the run.
-//! 2. After `sps − 1` silent samples every phase has completed a symbol
-//!    inside the run, and a zero sample adds only `±0` products, so every
-//!    accumulator is `±0` and every completed energy is exactly `0.0`
-//!    (the sign of a zero never survives the squares or the next non-zero
-//!    addend). Stage (a) is skipped and stage (b) walks zero energies.
+//! 1. The first `2·sps − 1` samples of a silent run go through both
+//!    stages as usual: the energies emitted there still depend on samples
+//!    from before the run.
+//! 2. After `2·sps − 1` silent samples the correlator's ring holds only
+//!    zeros and its window sums were re-anchored on them; a zero sample
+//!    adds only `±0` products, so both sums stay `±0` and every energy is
+//!    exactly `0.0` (the sign of a zero never survives the squares or the
+//!    next non-zero addend). Stage (a) is skipped and stage (b) walks zero
+//!    energies. The skipped samples would only have written zeros over
+//!    zeros, so the correlator's state is the same as after the full run.
 //!
 //! Only `push_silence` extends a silent run; `push_block` and `reset` end
 //! it, even when the block happens to be all zeros.
@@ -72,44 +77,34 @@
 //! # Shared energies: [`SidMonitor::push_block_shared`]
 //!
 //! The shield runs a [`StreamingDetector`] and a [`SidMonitor`] on the
-//! same session-channel samples, with the same tone templates. A
-//! completed energy is a zero-started sum over the symbol's `sps`
-//! samples, accumulated in sample order, so two correlators fed the same
-//! samples emit the same bits for every symbol that lies wholly after
-//! both of their last resets. The monitor can therefore take the
-//! detector's energies ([`StreamingDetector::block_energies`]) instead of
-//! sweeping itself; only the first `sps − 1` samples after a reset of
-//! either one (the monitor's `advance_silent`/`reset`, the detector's
-//! `reset`) run the monitor's own sweep. Both paths share one stage (b).
+//! same session-channel samples, with the same tones. Since every energy
+//! depends only on the last `2·sps − 1` samples (counting samples before
+//! a reset as zeros), two correlators fed the same samples emit
+//! bit-identical energies once both have seen `2·sps − 1` samples since
+//! their last resets. The monitor can therefore take the detector's
+//! energies ([`StreamingDetector::block_energies`]) instead of running
+//! its own correlator; only the first `2·sps − 1` samples after a reset
+//! of either one (the monitor's `advance_silent`/`reset`, the detector's
+//! `reset`) run the monitor's own. Both paths share one stage (b).
 
 use crate::fsk::{FskModem, FskParams};
 use crate::matcher::SidMatcher;
 use crate::packet::{Frame, FrameError, MAX_PAYLOAD, OVERHEAD, PREAMBLE, SYNC_WORD};
 use hb_dsp::complex::C64;
-use hb_dsp::correlator::MultiPhaseCorrelator;
-use std::f64::consts::PI;
+use hb_dsp::correlator::SlidingToneCorrelator;
 
 /// Bits in the preamble + sync prefix.
 const SYNC_BITS: usize = (PREAMBLE.len() + SYNC_WORD.len()) * 8;
 /// Bit offset of the length field within the frame.
 const LEN_FIELD_BIT: usize = (PREAMBLE.len() + SYNC_WORD.len() + 10 + 1 + 1) * 8;
 
-/// One-symbol tone template `cis(-2π f n / fs)` for `bit`'s tone — the
-/// matched filter both streaming front ends correlate against.
-fn tone_template(params: FskParams, bit: u8) -> Vec<C64> {
-    let sps = params.samples_per_symbol();
-    (0..sps)
-        .map(|n| C64::cis(-2.0 * PI * params.tone_hz(bit) * n as f64 / params.fs_hz))
-        .collect()
-}
-
-/// The blocked sweep kernel over `params`' two tone templates — exactly
-/// the correlator [`StreamingDetector`] and [`SidMonitor`] run as their
-/// hot stage. Public so benchmarks (`perf_report`'s `detector_sweep_24k`)
-/// time the same filter the production detectors use rather than
-/// rebuilding the template convention by hand.
-pub fn detection_correlator(params: FskParams) -> MultiPhaseCorrelator {
-    MultiPhaseCorrelator::new(&tone_template(params, 0), &tone_template(params, 1))
+/// The sliding-window tone correlator over `params`' two tones — exactly
+/// the stage (a) [`StreamingDetector`] and [`SidMonitor`] run. Public so
+/// benchmarks (`perf_report`'s `detector_sweep_24k`) time the same filter
+/// the production detectors use rather than rebuilding the tone
+/// convention by hand.
+pub fn detection_correlator(params: FskParams) -> SlidingToneCorrelator {
+    SlidingToneCorrelator::new(params.samples_per_symbol(), params.tone_hz(0), params.fs_hz)
 }
 
 /// An event from the streaming detector.
@@ -134,8 +129,8 @@ pub enum DetectorEvent {
 }
 
 /// Per-alignment demodulation state (cold path: touched once per completed
-/// symbol; the per-sample tone accumulators live in the shared
-/// [`MultiPhaseCorrelator`] for cache locality).
+/// symbol; the per-sample tone energies come from the shared
+/// [`SlidingToneCorrelator`]).
 #[derive(Debug, Clone)]
 struct PhaseState {
     /// Sync matcher over this phase's bit stream.
@@ -259,8 +254,8 @@ struct Candidate {
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
     modem: FskModem,
-    /// Stage (a): the shared blocked multi-phase sweep kernel.
-    corr: MultiPhaseCorrelator,
+    /// Stage (a): the sliding-window tone correlator.
+    corr: SlidingToneCorrelator,
     phases: Vec<PhaseState>,
     lock: Option<LockState>,
     /// Pending candidate window: (deadline tick, candidates).
@@ -341,7 +336,7 @@ impl StreamingDetector {
     pub fn push_block(&mut self, samples: &[C64]) -> Vec<DetectorEvent> {
         self.silent_run = 0;
         let mut events = Vec::new();
-        self.sweep(samples);
+        self.correlate(samples);
         self.walk(samples, &mut events);
         events
     }
@@ -352,19 +347,19 @@ impl StreamingDetector {
     /// receive path of a half-duplex radio while its own transmitter is
     /// on.
     pub fn push_silence(&mut self, n: usize) -> Vec<DetectorEvent> {
-        let sps = self.modem.params().samples_per_symbol();
-        let settled = (sps - 1) as u64;
+        let settled = self.corr.memory() as u64;
         let mut events = Vec::new();
         let mut zeros = std::mem::take(&mut self.zeros);
         zeros.resize(zeros.len().max(n), C64::ZERO);
-        // Symbols completing in the first `sps − 1` samples of the run
-        // still hold earlier samples.
+        // Energies emitted in the first `2·sps − 1` samples of the run
+        // still depend on earlier samples.
         let head = n.min(settled.saturating_sub(self.silent_run) as usize);
         if head > 0 {
-            self.sweep(&zeros[..head]);
+            self.correlate(&zeros[..head]);
             self.walk(&zeros[..head], &mut events);
         }
-        // After that every accumulator is ±0: the energies are exactly zero.
+        // After that the ring and both window sums are ±0: the energies
+        // are exactly zero.
         let rest = n - head;
         if rest > 0 {
             self.e0.clear();
@@ -396,9 +391,9 @@ impl StreamingDetector {
         }
     }
 
-    /// Stage (a) — hot: the dense multi-phase MAC sweep over the whole
+    /// Stage (a) — hot: the sliding-window correlator over the whole
     /// block, emitting one completed `(e0, e1)` pair per sample.
-    fn sweep(&mut self, samples: &[C64]) {
+    fn correlate(&mut self, samples: &[C64]) {
         let sps = self.corr.sps();
         self.e0.clear();
         self.e1.clear();
@@ -410,7 +405,7 @@ impl StreamingDetector {
 
     /// Records where the `n` fresh scratch energies sit in the stream.
     fn mark_energies(&mut self, n: usize) {
-        let settled = (self.corr.sps() - 1) as u64;
+        let settled = self.corr.memory() as u64;
         self.energies_tick = self.next_tick;
         self.energies_partial = settled.saturating_sub(self.since_reset).min(n as u64) as usize;
         self.since_reset = self.since_reset.saturating_add(n as u64);
@@ -541,7 +536,7 @@ impl StreamingDetector {
                     candidates.sort_by(|a, b| {
                         a.distance
                             .cmp(&b.distance)
-                            .then(b.quality.partial_cmp(&a.quality).unwrap())
+                            .then(b.quality.total_cmp(&a.quality))
                     });
                     let winner = candidates.into_iter().next().unwrap();
                     let start_tick =
@@ -584,8 +579,8 @@ impl StreamingDetector {
 pub struct BlockEnergies<'a> {
     /// Tick of the block's first sample.
     start_tick: u64,
-    /// Leading entries whose symbols began before the detector's last
-    /// reset (partial sums no other correlator shares).
+    /// Leading entries emitted within `2·sps − 1` samples of the
+    /// detector's last reset (energies no other correlator shares).
     partial: usize,
     /// Tone-0 energy of the symbol each sample completes.
     e0: &'a [f64],
@@ -613,15 +608,14 @@ pub struct SidDetection {
 /// over the matched window (the quantity compared against `Pthresh` for
 /// the high-power alarm).
 ///
-/// The sweep itself is the same blocked
-/// [`MultiPhaseCorrelator`] stage the detector
-/// uses (see the module docs for the two-stage pipeline); only the cold
-/// stage differs — a rolling RSSI window and one [`SidMatcher`] per phase
+/// Stage (a) is the same [`SlidingToneCorrelator`] the detector uses (see
+/// the module docs for the two-stage pipeline); only the cold stage
+/// differs — a rolling RSSI window and one [`SidMatcher`] per phase
 /// instead of frame assembly.
 #[derive(Debug, Clone)]
 pub struct SidMonitor {
-    /// Stage (a): the shared blocked multi-phase sweep kernel.
-    corr: MultiPhaseCorrelator,
+    /// Stage (a): the sliding-window tone correlator.
+    corr: SlidingToneCorrelator,
     matchers: Vec<SidMatcher>,
     /// Rolling power window covering one Sid length of samples.
     power_window: Vec<f64>,
@@ -632,14 +626,14 @@ pub struct SidMonitor {
     /// Refractory: suppress duplicate detections (adjacent phases matching
     /// the same transmission) until this tick.
     holdoff_until: u64,
-    /// True when matchers, accumulators and the power window are all in
+    /// True when matchers, correlator and the power window are all in
     /// their freshly-reset state, so repeated [`SidMonitor::advance_silent`]
     /// calls can skip the O(window) reset work.
     in_reset_state: bool,
     /// Samples consumed since the correlator was last reset (saturating).
     since_reset: u64,
-    /// True while the own correlator has swept every sample since its
-    /// last reset; shared energies end that until the next reset.
+    /// True while the own correlator has seen every sample since its last
+    /// reset; shared energies end that until the next reset.
     corr_current: bool,
     /// Per-block scratch: completed-symbol tone energies from stage (a).
     e0: Vec<f64>,
@@ -678,14 +672,14 @@ impl SidMonitor {
 
     /// [`SidMonitor::push_block`] on the samples a [`StreamingDetector`]
     /// with the same FSK parameters has just consumed, reusing its
-    /// completed energies instead of sweeping: bit-identical, because both
-    /// energies are zero-started sums over the same symbol (see the module
-    /// docs). Only the first `sps − 1` samples after a reset of either side
-    /// run this monitor's own sweep.
+    /// completed energies instead of correlating: bit-identical, because
+    /// both correlators' energies depend only on the last `2·sps − 1`
+    /// samples (see the module docs). Only the first `2·sps − 1` samples
+    /// after a reset of either side run this monitor's own correlator.
     ///
     /// # Panics
     /// Panics if `shared` does not cover exactly `samples` at this
-    /// monitor's tick, or if the own sweep is needed after shared energies
+    /// monitor's tick, or if the own correlator is needed after shared energies
     /// were used without a [`SidMonitor::reset`] in between.
     pub fn push_block_shared(
         &mut self,
@@ -701,8 +695,8 @@ impl SidMonitor {
         }
         let mut detection = None;
 
-        // Stage (a) — hot: the own blocked sweep over the samples whose
-        // symbols the shared energies do not cover.
+        // Stage (a) — hot: the own correlator over the samples whose
+        // energies the shared ones do not cover.
         let len = samples.len();
         let own = match &shared {
             None => len,
@@ -711,7 +705,7 @@ impl SidMonitor {
                     sh.start_tick == self.next_tick && sh.e0.len() == len && sh.e1.len() == len,
                     "shared energies must cover this block"
                 );
-                let settled = (self.sps - 1) as u64;
+                let settled = self.corr.memory() as u64;
                 let warmup = settled.saturating_sub(self.since_reset).min(len as u64) as usize;
                 warmup.max(sh.partial)
             }
@@ -722,7 +716,7 @@ impl SidMonitor {
         if own > 0 {
             assert!(
                 self.corr_current,
-                "own sweep needed after shared energies without a reset"
+                "own correlator needed after shared energies without a reset"
             );
             self.corr
                 .process_block(&samples[..own], base0, &mut self.e0, &mut self.e1);
@@ -817,15 +811,25 @@ impl SidMonitor {
     }
 }
 
-/// The pre-blocked (PR 1–4) streaming front ends, kept verbatim as the
-/// bit-exactness reference for the blocked-correlator rewrite: the
-/// equivalence property tests drive these and the production types on
-/// identical streams and require identical output, bit for bit.
+/// The per-phase matched-filter front ends (the original detectors), kept
+/// as the oracle for the sliding-window correlator: the equivalence
+/// property tests drive these and the production types on identical
+/// streams and require identical events.
 #[cfg(test)]
 mod reference {
     use super::*;
+    use std::f64::consts::PI;
 
-    /// The historical per-sample dense phase sweep.
+    /// One-symbol tone template `cis(-2π f n / fs)` for `bit`'s tone: the
+    /// matched filter of the per-phase sweep.
+    fn tone_template(params: FskParams, bit: u8) -> Vec<C64> {
+        let sps = params.samples_per_symbol();
+        (0..sps)
+            .map(|n| C64::cis(-2.0 * PI * params.tone_hz(bit) * n as f64 / params.fs_hz))
+            .collect()
+    }
+
+    /// The per-sample phase sweep: `sps` zero-started accumulators per tone.
     ///
     /// Phase `p` reads matched-filter position `(tick - p) mod sps`; with
     /// `base = tick mod sps` that splits into two contiguous runs, so the
@@ -853,7 +857,7 @@ mod reference {
         (base + 1) % sps
     }
 
-    /// The pre-blocked [`StreamingDetector`]: identical state machine,
+    /// The per-phase [`StreamingDetector`]: identical state machine,
     /// per-sample sweep.
     #[derive(Debug, Clone)]
     pub struct RefDetector {
@@ -1010,7 +1014,7 @@ mod reference {
                         candidates.sort_by(|a, b| {
                             a.distance
                                 .cmp(&b.distance)
-                                .then(b.quality.partial_cmp(&a.quality).unwrap())
+                                .then(b.quality.total_cmp(&a.quality))
                         });
                         let winner = candidates.into_iter().next().unwrap();
                         let start_tick =
@@ -1035,7 +1039,7 @@ mod reference {
         }
     }
 
-    /// The pre-blocked [`SidMonitor`]: identical trigger logic, per-sample
+    /// The per-phase [`SidMonitor`]: identical trigger logic, per-sample
     /// sweep.
     #[derive(Debug, Clone)]
     pub struct RefSidMonitor {
@@ -1625,7 +1629,46 @@ mod tests {
         assert_eq!(count, 3);
     }
 
-    // --- Old-vs-new equivalence (the blocked-correlator invariant) ---
+    #[test]
+    fn non_finite_samples_flush_out() {
+        // NaN and ±inf samples must not panic either front end, and once
+        // the re-anchor has flushed them out of the window a clean frame
+        // decodes and its Sid fires, on the own and the shared path.
+        let modem = FskModem::new(params());
+        let frame = make_frame(vec![1, 2, 3]);
+        let junk = [
+            C64::new(f64::NAN, 0.0),
+            C64::new(f64::INFINITY, 1.0),
+            C64::new(f64::NEG_INFINITY, f64::NAN),
+            C64::new(0.5, f64::NEG_INFINITY),
+        ];
+        let mut sig: Vec<C64> = junk.iter().cycle().take(301).copied().collect();
+        sig.extend(vec![C64::ZERO; 2 * 24 - 1]);
+        sig.extend(modem.modulate(&frame.to_bits()));
+        sig.extend(vec![C64::ZERO; 200]);
+
+        let mut det = StreamingDetector::new(params(), 4);
+        let mut own = SidMonitor::new(params(), sid(), 4);
+        let mut shared = SidMonitor::new(params(), sid(), 4);
+        let (mut events, mut own_hits, mut shared_hits) = (Vec::new(), Vec::new(), Vec::new());
+        for block in sig.chunks(16) {
+            events.extend(det.push_block(block));
+            own_hits.extend(own.push_block(block));
+            shared_hits.extend(shared.push_block_shared(block, det.block_energies()));
+        }
+        let frames = frames_from(&events);
+        assert_eq!(frames.len(), 1, "{events:?}");
+        assert!(
+            matches!(frames[0], DetectorEvent::FrameDone { result: Ok(f), .. } if *f == frame),
+            "{frames:?}"
+        );
+        for hits in [&own_hits, &shared_hits] {
+            assert_eq!(hits.len(), 1, "{hits:?}");
+            assert!(hits[0].tick > 301 + 47, "fired on junk: {hits:?}");
+        }
+    }
+
+    // --- Equivalence with the per-phase oracle ---
 
     mod equivalence {
         use super::*;
@@ -1661,8 +1704,8 @@ mod tests {
         }
 
         proptest! {
-            /// The rewritten detector emits bit-identical events to the
-            /// pre-blocked reference on the same stream, at any chunking.
+            /// The detector emits the same events as the per-phase oracle
+            /// on the same stream, at any chunking.
             #[test]
             fn detector_matches_reference(
                 seed in 0u64..1_000_000,

@@ -6,7 +6,7 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`dsp`] — complex-baseband DSP (FFT, correlator, shaped noise, spectra).
+//! * [`dsp`] — complex-baseband DSP (FFT, tone correlator, shaped noise, spectra).
 //! * [`phy`] — FSK/GMSK modems, framing, streaming detection.
 //! * [`channel`] — pathloss/fading models and the shared medium.
 //! * [`mics`] — the 402–405 MHz band plan and FCC rules.
