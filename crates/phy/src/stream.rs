@@ -160,7 +160,9 @@ impl PhaseState {
     /// Adds `m` to the rolling window: the sum gains `m` first, then loses
     /// the evicted oldest entry — the same floating-point order the
     /// historical `VecDeque` implementation used, so the sum stays
-    /// bit-identical.
+    /// bit-identical. A non-finite sum is recomputed from the ring: an
+    /// evicted `inf` leaves `inf − inf`, which would poison the sum for
+    /// good. Finite input never takes that branch.
     fn push_margin(&mut self, m: f64) {
         self.margin_sum += m;
         if self.filled < SYNC_BITS {
@@ -174,6 +176,9 @@ impl PhaseState {
             } else {
                 self.head + 1
             };
+        }
+        if !self.margin_sum.is_finite() {
+            self.margin_sum = self.margins[..self.filled].iter().sum();
         }
     }
 
@@ -746,6 +751,11 @@ impl SidMonitor {
             } else {
                 self.power_head + 1
             };
+            // Same recovery as `PhaseState::push_margin`: only a
+            // non-finite sample gets here.
+            if !self.power_sum.is_finite() {
+                self.power_sum = self.power_window.iter().sum();
+            }
 
             phase = if phase + 1 == self.sps { 0 } else { phase + 1 };
             let bit = u8::from(e1 > e0);
@@ -1665,6 +1675,12 @@ mod tests {
         for hits in [&own_hits, &shared_hits] {
             assert_eq!(hits.len(), 1, "{hits:?}");
             assert!(hits[0].tick > 301 + 47, "fired on junk: {hits:?}");
+            // The rolling RSSI recovers too, or the shield's alarm test
+            // `rssi >= pthresh_dbm` would read false from then on.
+            assert!(hits[0].mean_power.is_finite(), "RSSI poisoned: {hits:?}");
+        }
+        for (p, st) in det.phases.iter().enumerate() {
+            assert!(st.margin_sum.is_finite(), "phase {p} margin sum poisoned");
         }
     }
 

@@ -620,6 +620,50 @@ mod tests {
         );
     }
 
+    /// The on-disk v1 format, byte for byte: a run checkpointed by an
+    /// earlier build must still resume under this one. Only a deliberate
+    /// format change, which also bumps `JOURNAL_VERSION` or
+    /// `ENGINE_VERSION`, may re-pin these literals.
+    #[test]
+    fn journal_v1_bytes_are_pinned() {
+        let j = sample_journal();
+        assert_eq!(
+            String::from_utf8(j.encode()).unwrap(),
+            concat!(
+                "hbjournal v1 len=169 sum=c94b251cfbb39671\n",
+                "engine=1\n",
+                "master=16045690981402826360\n",
+                "cfg=4 256 3f8eb851eb851eb8 3fff5c0331eeff84 200\n",
+                "done=32\n",
+                "kind=proportions k=2\n",
+                "pool 17 512\n",
+                "pool 3 32\n",
+                "quar 5 42 multi\\nline \\\\ payload\n",
+            )
+        );
+        let mean = Journal {
+            kind: JournalKind::Mean(vec![0.1, -3.5e-9, f64::NAN, 0.0, -0.0]),
+            ..j
+        };
+        assert_eq!(
+            String::from_utf8(mean.encode()).unwrap(),
+            concat!(
+                "hbjournal v1 len=260 sum=56d0949206c2977d\n",
+                "engine=1\n",
+                "master=16045690981402826360\n",
+                "cfg=4 256 3f8eb851eb851eb8 3fff5c0331eeff84 200\n",
+                "done=32\n",
+                "kind=mean k=5\n",
+                "sample 3fb999999999999a\n",
+                "sample be2e1094d643f784\n",
+                "sample 7ff8000000000000\n",
+                "sample 0000000000000000\n",
+                "sample 8000000000000000\n",
+                "quar 5 42 multi\\nline \\\\ payload\n",
+            )
+        );
+    }
+
     #[test]
     fn corrupt_journals_never_decode() {
         let bytes = sample_journal().encode();

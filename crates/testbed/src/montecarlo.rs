@@ -3,16 +3,13 @@
 //!
 //! The paper's headline numbers are statistical — eavesdropper BER ≈ 0.5
 //! under shield jamming (Figs. 8–9), attack success ≈ 0 with the shield
-//! present (Figs. 11–12) — but for five PRs the tests asserted on
-//! small-sample *point estimates*, the ROADMAP's "known-flaky area" that
-//! every RNG change threatened to trip. This module is the permanent fix:
-//! experiments run trials in sharded batches, pool the counts, compute a
-//! [Wilson score interval](hb_dsp::stats::wilson_interval) (proportions)
-//! or a [bootstrap interval](hb_dsp::stats::bootstrap_mean_interval)
+//! present (Figs. 11–12). Experiments run trials in sharded batches, pool
+//! the counts, compute a [Wilson score interval](hb_dsp::stats::wilson_interval)
+//! (proportions) or a [bootstrap interval](hb_dsp::stats::bootstrap_mean_interval)
 //! (continuous metrics), and *grow the sample count in deterministic
-//! rounds* until the interval is tight enough — so assertions become "the
-//! CI excludes the forbidden region" instead of "the point estimate lands
-//! inside a bound".
+//! rounds* until the interval is tight enough — so assertions read "the CI
+//! excludes the forbidden region", not "the point estimate lands inside a
+//! bound".
 //!
 //! # Determinism
 //!
@@ -28,6 +25,15 @@
 //!
 //! Stopping decisions are themselves computed from pooled (deterministic)
 //! counts, so adaptivity never breaks reproducibility.
+//!
+//! # One round loop
+//!
+//! Both estimators run one private round loop, `run_rounds`: journal claim
+//! and resume, stop checks, deadline, quarantined fan-out, per-round
+//! checkpoint and health notes. Each supplies a *pool*: what a trial
+//! returns (`K` count pairs or an `f64`), how results pool, the stopping
+//! test (Wilson or bootstrap half-width), and the journal body and tag
+//! (`p<K>` or `m1`).
 //!
 //! # Crash safety
 //!
@@ -157,23 +163,14 @@ pub fn trial_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `trial` adaptively until all `K` pooled Wilson intervals reach
-/// the target half-width or the trial cap is hit.
+/// Runs `trial` on `workers` threads until all `K` pooled Wilson
+/// intervals reach the target half-width or the trial cap is hit, under
+/// the installed [`RunCtl`] (see [`checkpoint::current`]).
 ///
 /// `trial` receives a pre-derived seed and returns `K` count pairs
 /// `(successes, trials)` — e.g. `[(bit_errors, bits), (lost, frames)]`.
-/// Trials fan out on [`parallel::parallel_map_n`]; counts pool by
+/// Trials fan out on [`parallel::parallel_map_with`]; counts pool by
 /// saturating summation in trial order.
-pub fn adaptive_proportions<F, const K: usize>(cfg: &McConfig, seed: u64, trial: F) -> McRun<K>
-where
-    F: Fn(u64) -> [(u64, u64); K] + Sync,
-{
-    adaptive_proportions_with(parallel::threads(), cfg, seed, trial)
-}
-
-/// [`adaptive_proportions`] with an explicit worker count — the
-/// determinism tests use this to compare 1-thread and N-thread runs
-/// without touching the process environment.
 pub fn adaptive_proportions_with<F, const K: usize>(
     workers: usize,
     cfg: &McConfig,
@@ -201,115 +198,29 @@ pub fn adaptive_proportions_ctl<F, const K: usize>(
 where
     F: Fn(u64) -> [(u64, u64); K] + Sync,
 {
-    let mut pooled = [(0u64, 0u64); K];
-    let mut done = 0usize;
-    let mut trace = Vec::new();
-    let mut quarantines: Vec<Quarantine> = Vec::new();
-    let mut truncated = false;
-    let mut estimates = [Estimate {
-        mean: 0.0,
-        ci_lo: 0.0,
-        ci_hi: 1.0,
-        n: 0,
-    }; K];
-
-    let journal_path = ctl.and_then(|c| c.claim_journal(seed, K, "p"));
-    if let (Some(c), Some(path)) = (ctl, journal_path.as_ref()) {
-        if c.resuming() {
-            if let Some(j) = Journal::load(path) {
-                if let JournalKind::Proportions(pools) = &j.kind {
-                    if j.matches(seed, &journal_cfg(cfg)) && pools.len() == K {
-                        for (dst, &src) in pooled.iter_mut().zip(pools.iter()) {
-                            *dst = src;
-                        }
-                        done = j.done as usize;
-                        quarantines = j.quarantines;
-                    }
-                }
-            }
-        }
-    }
-    if done > 0 {
-        refresh_estimates(&mut estimates, &pooled, cfg);
-    }
-
-    // Loop-top checks reproduce the original post-round breaks exactly:
-    // a fresh run enters with `done == 0` and behaves as before; a
-    // resumed run re-evaluates the crashed run's last stopping decision
-    // from the restored counts, so it continues (or stops) precisely
-    // where an uninterrupted run would have.
-    loop {
-        if done > 0 && converged(&estimates, cfg) {
-            break;
-        }
-        if done >= cfg.max_trials {
-            break;
-        }
-        if ctl.is_some_and(|c| c.deadline_expired()) {
-            truncated = true;
-            break;
-        }
-        let batch = next_batch(cfg, done);
-        let indices: Vec<u64> = (done as u64..(done + batch) as u64).collect();
-        let results = parallel::parallel_map_with(workers, &indices, |_, &i| {
-            let s = trial_seed(seed, i);
-            guarded_trial(i, s, || trial(s))
-        });
-        for result in results {
-            match result {
-                Ok(counts) => {
-                    for (pool, &(s, t)) in pooled.iter_mut().zip(counts.iter()) {
-                        debug_assert!(s <= t, "trial reported more successes than trials");
-                        pool.0 = pool.0.saturating_add(s);
-                        pool.1 = pool.1.saturating_add(t);
-                    }
-                }
-                Err(q) => quarantines.push(q),
-            }
-        }
-        done += batch;
-        refresh_estimates(&mut estimates, &pooled, cfg);
-        trace.push(estimates);
-        if let Some(path) = journal_path.as_ref() {
-            store_journal(
-                ctl,
-                path,
-                &Journal {
-                    master: seed,
-                    cfg: journal_cfg(cfg),
-                    done: done as u64,
-                    kind: JournalKind::Proportions(pooled.to_vec()),
-                    quarantines: quarantines.clone(),
-                },
-            );
-        }
-    }
-    if let Some(c) = ctl {
-        if truncated {
-            c.note_truncated();
-        }
-        c.note_quarantined(quarantines.len() as u64);
-    }
+    let mut pool = ProportionPool {
+        pooled: [(0, 0); K],
+        estimates: [Estimate {
+            mean: 0.0,
+            ci_lo: 0.0,
+            ci_hi: 1.0,
+            n: 0,
+        }; K],
+        trace: Vec::new(),
+    };
+    let (trials, quarantines, truncated) = run_rounds(workers, cfg, seed, ctl, &mut pool, trial);
     McRun {
-        estimates,
-        trials: done as u64,
-        trace,
+        estimates: pool.estimates,
+        trials,
+        trace: pool.trace,
         quarantines,
         truncated,
     }
 }
 
-/// Single-proportion convenience over [`adaptive_proportions`].
-pub fn adaptive_proportion<F>(cfg: &McConfig, seed: u64, trial: F) -> Estimate
-where
-    F: Fn(u64) -> (u64, u64) + Sync,
-{
-    adaptive_proportions::<_, 1>(cfg, seed, |s| [trial(s)]).estimates[0]
-}
-
-/// [`adaptive_proportion`] with an explicit worker count — experiment
-/// sweeps that already fan out across data points run their inner
-/// adaptive loops with one worker to avoid nested thread pools.
+/// Single-proportion convenience over [`adaptive_proportions_with`] —
+/// experiment sweeps that already fan out across data points run their
+/// inner adaptive loops with one worker to avoid nested thread pools.
 pub fn adaptive_proportion_with<F>(workers: usize, cfg: &McConfig, seed: u64, trial: F) -> Estimate
 where
     F: Fn(u64) -> (u64, u64) + Sync,
@@ -317,23 +228,11 @@ where
     adaptive_proportions_with::<_, 1>(workers, cfg, seed, |s| [trial(s)]).estimates[0]
 }
 
-/// Runs `trial` adaptively until the bootstrap interval of the sample
-/// mean reaches the target half-width or the trial cap is hit — the
-/// continuous-metric sibling of [`adaptive_proportions`], for SINR and
-/// turnaround-style measurements.
-///
-/// The bootstrap reseeds from `(seed, round)` each round, so any stopping
-/// point remains a pure function of `(cfg, seed)` — still bit-identical
-/// at any thread count, because the samples it resamples arrive in trial
-/// order.
-pub fn adaptive_mean<F>(cfg: &McConfig, seed: u64, trial: F) -> Estimate
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    adaptive_mean_with(parallel::threads(), cfg, seed, trial)
-}
-
-/// [`adaptive_mean`] with an explicit worker count (determinism tests).
+/// The continuous-metric sibling of [`adaptive_proportions_with`]: runs
+/// `trial` until the bootstrap interval of the sample mean reaches the
+/// target half-width or the trial cap is hit. The bootstrap reseeds from
+/// `(seed, sample count)`, so any stopping point stays a pure function of
+/// `(cfg, seed)`, bit-identical at any thread count.
 pub fn adaptive_mean_with<F>(workers: usize, cfg: &McConfig, seed: u64, trial: F) -> Estimate
 where
     F: Fn(u64) -> f64 + Sync,
@@ -357,45 +256,181 @@ pub fn adaptive_mean_ctl<F>(
 where
     F: Fn(u64) -> f64 + Sync,
 {
-    let mut samples: Vec<f64> = Vec::new();
-    // Trial tasks completed: equals `samples.len()` on a healthy run, but
-    // quarantined trials consume their index without yielding a sample.
-    let mut done = 0usize;
-    let mut quarantines: Vec<Quarantine> = Vec::new();
-    let mut truncated = false;
-    let alpha = 2.0 * (1.0 - normal_cdf(cfg.z));
-    let interval = |samples: &[f64]| {
-        bootstrap_mean_interval(
-            samples,
-            cfg.bootstrap_resamples,
-            alpha,
-            trial_seed(seed ^ 0xB007_57AB, samples.len() as u64),
-        )
-    };
+    let mut samples = Vec::new();
+    run_rounds(workers, cfg, seed, ctl, &mut samples, trial);
+    let (ci_lo, ci_hi) = mean_interval(&samples, cfg, seed);
+    let n = samples.len();
+    Estimate {
+        mean: samples.iter().sum::<f64>() / n.max(1) as f64,
+        ci_lo,
+        ci_hi,
+        n: n as u64,
+    }
+}
 
-    let journal_path = ctl.and_then(|c| c.claim_journal(seed, 1, "m"));
-    if let (Some(c), Some(path)) = (ctl, journal_path.as_ref()) {
-        if c.resuming() {
-            if let Some(j) = Journal::load(path) {
-                if let JournalKind::Mean(restored) = &j.kind {
-                    if j.matches(seed, &journal_cfg(cfg)) {
-                        samples = restored.clone();
-                        done = j.done as usize;
-                        quarantines = j.quarantines;
-                    }
-                }
-            }
+/// An estimator's part of [`run_rounds`]. Its journal file is
+/// `mc_<master>_<TAG><COMPONENTS>.journal`.
+trait Pool {
+    type Sample: Send;
+    const TAG: &'static str;
+    const COMPONENTS: usize;
+    /// Pools one surviving trial's result; called in trial order.
+    fn absorb(&mut self, sample: Self::Sample);
+    /// Re-estimates from the pooled state; true once the stopping test holds.
+    fn settle(&mut self, cfg: &McConfig, seed: u64) -> bool;
+    /// [`Pool::settle`] after a completed round (not after a resume).
+    fn end_round(&mut self, cfg: &McConfig, seed: u64) -> bool {
+        self.settle(cfg, seed)
+    }
+    /// The journal body holding the pooled state.
+    fn journal_kind(&self) -> JournalKind;
+    /// Takes over a journal body; false (pool untouched) if it is not ours.
+    fn restore(&mut self, kind: JournalKind) -> bool;
+}
+
+/// Pooled `(successes, trials)` counts with their Wilson estimates and the
+/// per-round trace.
+struct ProportionPool<const K: usize> {
+    pooled: [(u64, u64); K],
+    estimates: [Estimate; K],
+    trace: Vec<[Estimate; K]>,
+}
+
+impl<const K: usize> Pool for ProportionPool<K> {
+    type Sample = [(u64, u64); K];
+    const TAG: &'static str = "p";
+    const COMPONENTS: usize = K;
+
+    fn absorb(&mut self, counts: [(u64, u64); K]) {
+        for (pool, &(s, t)) in self.pooled.iter_mut().zip(counts.iter()) {
+            debug_assert!(s <= t, "trial reported more successes than trials");
+            pool.0 = pool.0.saturating_add(s);
+            pool.1 = pool.1.saturating_add(t);
         }
     }
+
+    /// Every tracked interval has data and meets the half-width target.
+    fn settle(&mut self, cfg: &McConfig, _seed: u64) -> bool {
+        for (est, &(s, t)) in self.estimates.iter_mut().zip(self.pooled.iter()) {
+            let (lo, hi) = wilson_interval(s.min(t), t, cfg.z);
+            *est = Estimate {
+                mean: if t > 0 { s as f64 / t as f64 } else { 0.5 },
+                ci_lo: lo,
+                ci_hi: hi,
+                n: t,
+            };
+        }
+        self.estimates
+            .iter()
+            .all(|e| e.n > 0 && e.half_width() <= cfg.target_half_width)
+    }
+
+    fn end_round(&mut self, cfg: &McConfig, seed: u64) -> bool {
+        let converged = self.settle(cfg, seed);
+        self.trace.push(self.estimates);
+        converged
+    }
+
+    fn journal_kind(&self) -> JournalKind {
+        JournalKind::Proportions(self.pooled.to_vec())
+    }
+
+    fn restore(&mut self, kind: JournalKind) -> bool {
+        match kind {
+            JournalKind::Proportions(pools) if pools.len() == K => {
+                self.pooled.copy_from_slice(&pools);
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
+/// The bootstrap interval of the mean of `samples`, reseeded from the
+/// run's master seed and the sample count.
+fn mean_interval(samples: &[f64], cfg: &McConfig, seed: u64) -> (f64, f64) {
+    bootstrap_mean_interval(
+        samples,
+        cfg.bootstrap_resamples,
+        2.0 * (1.0 - normal_cdf(cfg.z)),
+        trial_seed(seed ^ 0xB007_57AB, samples.len() as u64),
+    )
+}
+
+/// A mean run's completed samples, in trial order.
+impl Pool for Vec<f64> {
+    type Sample = f64;
+    const TAG: &'static str = "m";
+    const COMPONENTS: usize = 1;
+
+    fn absorb(&mut self, x: f64) {
+        self.push(x);
+    }
+
+    /// At least two samples and a bootstrap half-width at the target.
+    fn settle(&mut self, cfg: &McConfig, seed: u64) -> bool {
+        self.len() >= 2 && {
+            let (lo, hi) = mean_interval(self, cfg, seed);
+            (hi - lo) / 2.0 <= cfg.target_half_width
+        }
+    }
+
+    fn journal_kind(&self) -> JournalKind {
+        JournalKind::Mean(self.clone())
+    }
+
+    fn restore(&mut self, kind: JournalKind) -> bool {
+        match kind {
+            JournalKind::Mean(samples) => {
+                *self = samples;
+                true
+            }
+            JournalKind::Proportions(_) => false,
+        }
+    }
+}
+
+/// The round loop of every estimator (see the module docs). Returns the
+/// trial tasks executed (quarantined ones included), the quarantines, and
+/// whether the deadline truncated the run.
+fn run_rounds<P, F>(
+    workers: usize,
+    cfg: &McConfig,
+    seed: u64,
+    ctl: Option<&RunCtl>,
+    pool: &mut P,
+    trial: F,
+) -> (u64, Vec<Quarantine>, bool)
+where
+    P: Pool,
+    F: Fn(u64) -> P::Sample + Sync,
+{
+    let mut done = 0usize;
+    let mut quarantines = Vec::new();
+    let mut truncated = false;
+
+    let journal = ctl.and_then(|c| {
+        c.claim_journal(seed, P::COMPONENTS, P::TAG)
+            .map(|path| (c, path))
+    });
+    let resumed = journal
+        .as_ref()
+        .filter(|(c, _)| c.resuming())
+        .and_then(|(_, path)| Journal::load(path))
+        .filter(|j| j.matches(seed, &journal_cfg(cfg)));
+    if let Some(j) = resumed {
+        if pool.restore(j.kind) {
+            done = j.done as usize;
+            quarantines = j.quarantines;
+        }
+    }
+
     // A resumed run first re-evaluates the crashed run's last stopping
-    // decision (same interval, same bootstrap seed), then continues on
-    // the original schedule.
-    let mut converged = done > 0 && samples.len() >= 2 && {
-        let (lo, hi) = interval(&samples);
-        (hi - lo) / 2.0 <= cfg.target_half_width
-    };
+    // decision, so it continues (or stops) precisely where an
+    // uninterrupted run would have.
+    let mut converged = done > 0 && pool.settle(cfg, seed);
     while !converged && done < cfg.max_trials {
-        if ctl.is_some_and(|c| c.deadline_expired()) {
+        if ctl.is_some_and(RunCtl::deadline_expired) {
             truncated = true;
             break;
         }
@@ -407,22 +442,21 @@ where
         });
         for result in results {
             match result {
-                Ok(x) => samples.push(x),
+                Ok(sample) => pool.absorb(sample),
                 Err(q) => quarantines.push(q),
             }
         }
         done += batch;
-        let (lo, hi) = interval(&samples);
-        converged = samples.len() >= 2 && (hi - lo) / 2.0 <= cfg.target_half_width;
-        if let Some(path) = journal_path.as_ref() {
+        converged = pool.end_round(cfg, seed);
+        if let Some((c, path)) = &journal {
             store_journal(
-                ctl,
+                c,
                 path,
                 &Journal {
                     master: seed,
                     cfg: journal_cfg(cfg),
                     done: done as u64,
-                    kind: JournalKind::Mean(samples.clone()),
+                    kind: pool.journal_kind(),
                     quarantines: quarantines.clone(),
                 },
             );
@@ -434,13 +468,7 @@ where
         }
         c.note_quarantined(quarantines.len() as u64);
     }
-    let (lo, hi) = interval(&samples);
-    Estimate {
-        mean: samples.iter().sum::<f64>() / samples.len().max(1) as f64,
-        ci_lo: lo,
-        ci_hi: hi,
-        n: samples.len() as u64,
-    }
+    (done as u64, quarantines, truncated)
 }
 
 /// The next round's size: the first round is `initial_trials`, then each
@@ -451,33 +479,6 @@ where
 fn next_batch(cfg: &McConfig, done: usize) -> usize {
     let want = if done == 0 { cfg.initial_trials } else { done };
     want.max(1).min(cfg.max_trials - done)
-}
-
-/// Recomputes the pooled Wilson estimates (shared by the round loop and
-/// the resume path, so both produce bit-identical values from the same
-/// counts).
-fn refresh_estimates<const K: usize>(
-    estimates: &mut [Estimate; K],
-    pooled: &[(u64, u64); K],
-    cfg: &McConfig,
-) {
-    for (est, &(s, t)) in estimates.iter_mut().zip(pooled.iter()) {
-        let (lo, hi) = wilson_interval(s.min(t), t, cfg.z);
-        *est = Estimate {
-            mean: if t > 0 { s as f64 / t as f64 } else { 0.5 },
-            ci_lo: lo,
-            ci_hi: hi,
-            n: t,
-        };
-    }
-}
-
-/// The stopping predicate: every tracked interval has data and meets the
-/// half-width target.
-fn converged(estimates: &[Estimate], cfg: &McConfig) -> bool {
-    estimates
-        .iter()
-        .all(|e| e.n > 0 && e.half_width() <= cfg.target_half_width)
 }
 
 /// The sizing fingerprint a journal stores so a resume under a different
@@ -526,18 +527,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// and the run continues without checkpoints — losing resumability must
 /// not fail an otherwise healthy evaluation. Successful writes feed the
 /// `crash_after_round` fault counter.
-fn store_journal(ctl: Option<&RunCtl>, path: &std::path::Path, journal: &Journal) {
+fn store_journal(ctl: &RunCtl, path: &std::path::Path, journal: &Journal) {
     match journal.store(path) {
         Ok(()) => checkpoint::note_round_checkpointed(),
-        Err(e) => {
-            if let Some(c) = ctl {
-                c.warn_io_once(&format!(
-                    "warning: cannot write checkpoint journal {}: {e}; \
-                     continuing without checkpoints",
-                    path.display()
-                ));
-            }
-        }
+        Err(e) => ctl.warn_io_once(&format!(
+            "warning: cannot write checkpoint journal {}: {e}; \
+             continuing without checkpoints",
+            path.display()
+        )),
     }
 }
 

@@ -467,6 +467,144 @@ fn adaptive_mean_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir3);
 }
 
+#[test]
+fn adaptive_mean_quarantine_survives_resume() {
+    let c = cfg(4, 64, 1e-9);
+    let master = test_seed(37);
+    let poison = trial_seed(master, 5); // trial index 5 panics
+    let trial = |s: u64| {
+        if s == poison {
+            panic!("synthetic mean trial failure for seed {s:#x}");
+        }
+        (trial_seed(s, 0) >> 11) as f64 / (1u64 << 53) as f64
+    };
+
+    let dir = tmp_dir("mean_quar");
+    let ctl = RunCtl::new(Some(dir.clone()), false, None);
+    let jpath = journal_path(&dir, master, 1, "m");
+    let captured: Mutex<Option<Vec<u8>>> = Mutex::new(None);
+    let capture_seed = trial_seed(master, 8); // first trial of round 3
+    let reference = adaptive_mean_ctl(1, &c, master, Some(&ctl), |s| {
+        if s == capture_seed {
+            *captured.lock().unwrap() = std::fs::read(&jpath).ok();
+        }
+        trial(s)
+    });
+    let crashed = captured.lock().unwrap().take().expect("captured");
+    let ref_journal = std::fs::read(&jpath).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    // The quarantined trial consumed its index but yielded no sample.
+    assert_eq!(reference.n, 63);
+    assert_eq!(ctl.health().quarantined, 1);
+    assert!(ctl.health().degraded() && !ctl.health().truncated);
+    let journal = Journal::decode(&ref_journal).expect("final journal decodes");
+    assert_eq!(journal.done, 64);
+    assert_eq!(journal.quarantines.len(), 1);
+    let q = &journal.quarantines[0];
+    assert_eq!((q.index, q.seed), (5, poison));
+    assert!(
+        q.message.contains("synthetic mean trial failure"),
+        "{}",
+        q.message
+    );
+
+    // Resuming from the round-2 journal (done = 8, one quarantine) keeps
+    // the record, reports the run degraded, and lands on the same bytes.
+    let crashed_journal = Journal::decode(&crashed).expect("captured journal decodes");
+    assert_eq!(crashed_journal.done, 8);
+    assert_eq!(crashed_journal.quarantines, journal.quarantines);
+    for workers in [1usize, 4] {
+        let dir2 = tmp_dir(&format!("mean_quar_resume_{workers}"));
+        std::fs::create_dir_all(&dir2).unwrap();
+        let jpath2 = journal_path(&dir2, master, 1, "m");
+        std::fs::write(&jpath2, &crashed).unwrap();
+        let ctl2 = RunCtl::new(Some(dir2.clone()), true, None);
+        let resumed = adaptive_mean_ctl(workers, &c, master, Some(&ctl2), trial);
+        assert_eq!(resumed, reference, "resumed mean at {workers} workers");
+        assert_eq!(ctl2.health().quarantined, 1);
+        assert_eq!(std::fs::read(&jpath2).unwrap(), ref_journal);
+        let _ = std::fs::remove_dir_all(&dir2);
+    }
+}
+
+#[test]
+fn adaptive_mean_expired_deadline_truncates_at_a_checkpoint() {
+    let noisy = |s: u64| (trial_seed(s, 0) >> 11) as f64 / (1u64 << 53) as f64;
+    let c = cfg(4, 1 << 20, 1e-9); // would run ~a million trials
+    let master = test_seed(43);
+    let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
+    let ctl = RunCtl::new(None, false, Some(past));
+    let est = adaptive_mean_ctl(1, &c, master, Some(&ctl), noisy);
+    assert_eq!(est.n, 0, "stopped before the first round");
+    assert!(ctl.health().truncated && !ctl.health().degraded());
+
+    // A resumed run past its deadline stops at the journaled round: its
+    // estimate is the one a run capped at that round reports, and the
+    // journal it resumed from is left as it was.
+    let dir = tmp_dir("mean_deadline");
+    let ctl = RunCtl::new(Some(dir.clone()), false, None);
+    let jpath = journal_path(&dir, master, 1, "m");
+    let captured: Mutex<Option<Vec<u8>>> = Mutex::new(None);
+    let capture_seed = trial_seed(master, 8);
+    let modest = cfg(4, 64, 1e-9);
+    adaptive_mean_ctl(1, &modest, master, Some(&ctl), |s| {
+        if s == capture_seed {
+            *captured.lock().unwrap() = std::fs::read(&jpath).ok();
+        }
+        noisy(s)
+    });
+    let crashed = captured.lock().unwrap().take().expect("captured");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir2 = tmp_dir("mean_deadline_resume");
+    std::fs::create_dir_all(&dir2).unwrap();
+    let jpath2 = journal_path(&dir2, master, 1, "m");
+    std::fs::write(&jpath2, &crashed).unwrap();
+    let ctl2 = RunCtl::new(Some(dir2.clone()), true, Some(past));
+    let truncated = adaptive_mean_ctl(1, &modest, master, Some(&ctl2), noisy);
+    let capped = adaptive_mean_ctl(1, &cfg(4, 8, 1e-9), master, None, noisy);
+    assert_eq!(truncated, capped);
+    assert_eq!(truncated.n, 8);
+    assert!(ctl2.health().truncated);
+    assert_eq!(std::fs::read(&jpath2).unwrap(), crashed);
+    let _ = std::fs::remove_dir_all(&dir2);
+
+    // A generous deadline changes nothing relative to no deadline.
+    let future = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+    let ctl = RunCtl::new(None, false, Some(future));
+    let timed = adaptive_mean_ctl(1, &modest, master, Some(&ctl), noisy);
+    assert_eq!(timed, adaptive_mean_ctl(1, &modest, master, None, noisy));
+    assert!(!ctl.health().flagged());
+}
+
+#[test]
+fn journal_file_names_are_pinned() {
+    // A checkpoint directory written by an earlier build must still be
+    // found on resume: the engine's file names are part of the format.
+    let master = 0x0123_4567_89AB_CDEF;
+    let c = cfg(4, 8, 1e-9);
+    let dir = tmp_dir("names");
+    let ctl = RunCtl::new(Some(dir.clone()), false, None);
+    adaptive_proportions_ctl(1, &c, master, Some(&ctl), |s| [coin_trial(s)]);
+    adaptive_proportions_ctl(1, &c, master, Some(&ctl), |s| {
+        [coin_trial(s), coin_trial(s ^ 1)]
+    });
+    adaptive_mean_ctl(1, &c, master, Some(&ctl), |s| s as f64);
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        [
+            "mc_0123456789abcdef_m1.journal",
+            "mc_0123456789abcdef_p1.journal",
+            "mc_0123456789abcdef_p2.journal",
+        ]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     /// Property form of the tentpole claim: for arbitrary sizing, master
     /// seed, crash round, and worker counts, crash-after-round-k + resume
