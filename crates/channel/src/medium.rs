@@ -108,6 +108,14 @@ pub struct MediumConfig {
     pub fault: FaultPlan,
 }
 
+impl MediumConfig {
+    /// Converts a duration in seconds to whole blocks (rounding up).
+    pub fn blocks_for_duration(&self, seconds: f64) -> u64 {
+        let samples = seconds * self.fs_hz;
+        (samples / self.block_len as f64).ceil() as u64
+    }
+}
+
 impl Default for MediumConfig {
     fn default() -> Self {
         MediumConfig {
@@ -597,8 +605,7 @@ impl Medium {
 
     /// Converts a duration in seconds to whole blocks (rounding up).
     pub fn blocks_for_duration(&self, seconds: f64) -> u64 {
-        let samples = seconds * self.cfg.fs_hz;
-        (samples / self.cfg.block_len as f64).ceil() as u64
+        self.cfg.blocks_for_duration(seconds)
     }
 
     /// Stages a transmission for the current block. `samples` must not

@@ -581,6 +581,27 @@ impl Shield {
         self.log(tick, ShieldEventKind::JamStart { channel, reason });
     }
 
+    /// Raises the alarm for a signal of `rssi_dbm` on `channel` if it
+    /// reaches `pthresh_dbm`; returns whether it did.
+    fn alarm_if_high(&mut self, tick: Tick, channel: usize, rssi_dbm: f64) -> bool {
+        let high = rssi_dbm >= self.cfg.pthresh_dbm;
+        if high {
+            self.stats.alarms += 1;
+            self.log(tick, ShieldEventKind::Alarm { rssi_dbm, channel });
+        }
+        high
+    }
+
+    /// A `Sid` detection on `channel`: counts and logs it, raises the
+    /// alarm if it is loud enough, and jams the channel.
+    fn on_sid_detection(&mut self, tick: Tick, channel: usize, mean_power: f64) {
+        let rssi_dbm = db_from_ratio(mean_power.max(1e-30));
+        self.stats.sid_detections += 1;
+        self.log(tick, ShieldEventKind::SidDetected { channel, rssi_dbm });
+        let high = self.alarm_if_high(tick, channel, rssi_dbm);
+        self.engage_active_jam(channel, tick, high, JamReason::Active);
+    }
+
     /// Handles one decoded event from the session-channel frame detector.
     fn on_session_frame(&mut self, event: DetectorEvent, tick: Tick) {
         let DetectorEvent::FrameDone {
@@ -801,17 +822,7 @@ impl Node for Shield {
                     tick,
                     ShieldEventKind::ConcurrentSignal { rssi_dbm: measured },
                 );
-                let high = measured >= self.cfg.pthresh_dbm;
-                if high {
-                    self.stats.alarms += 1;
-                    self.log(
-                        tick,
-                        ShieldEventKind::Alarm {
-                            rssi_dbm: measured,
-                            channel: own_channel,
-                        },
-                    );
-                }
+                let high = self.alarm_if_high(tick, own_channel, measured);
                 self.engage_active_jam(own_channel, tick, high, JamReason::Concurrent);
             }
             // Keep detector clocks aligned while transmitting.
@@ -838,27 +849,7 @@ impl Node for Shield {
             } else if let Some(det) =
                 monitor.push_block_shared(rx, self.frame_detector.block_energies())
             {
-                let rssi = db_from_ratio(det.mean_power.max(1e-30));
-                self.stats.sid_detections += 1;
-                self.log(
-                    tick,
-                    ShieldEventKind::SidDetected {
-                        channel: self.cfg.session_channel,
-                        rssi_dbm: rssi,
-                    },
-                );
-                let high = rssi >= self.cfg.pthresh_dbm;
-                if high {
-                    self.stats.alarms += 1;
-                    self.log(
-                        tick,
-                        ShieldEventKind::Alarm {
-                            rssi_dbm: rssi,
-                            channel: self.cfg.session_channel,
-                        },
-                    );
-                }
-                self.engage_active_jam(self.cfg.session_channel, tick, high, JamReason::Active);
+                self.on_sid_detection(tick, self.cfg.session_channel, det.mean_power);
             }
         }
 
@@ -876,27 +867,7 @@ impl Node for Shield {
             if squelch_open {
                 let rx_c = medium.receive_view(self.rx_ant, ch);
                 if let Some(det) = self.sid_monitors[ch].push_block(rx_c) {
-                    let rssi = db_from_ratio(det.mean_power.max(1e-30));
-                    self.stats.sid_detections += 1;
-                    self.log(
-                        tick,
-                        ShieldEventKind::SidDetected {
-                            channel: ch,
-                            rssi_dbm: rssi,
-                        },
-                    );
-                    let high = rssi >= self.cfg.pthresh_dbm;
-                    if high {
-                        self.stats.alarms += 1;
-                        self.log(
-                            tick,
-                            ShieldEventKind::Alarm {
-                                rssi_dbm: rssi,
-                                channel: ch,
-                            },
-                        );
-                    }
-                    self.engage_active_jam(ch, tick, high, JamReason::Active);
+                    self.on_sid_detection(tick, ch, det.mean_power);
                 }
             } else {
                 self.sid_monitors[ch].advance_silent(block_len);

@@ -49,7 +49,9 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
 ///
 /// Returns `(mean, mean)` for fewer than 2 samples (no spread to
 /// estimate) and the resampled quantiles otherwise; the interval always
-/// stays within `[min, max]` of the samples by construction.
+/// stays within `[min, max]` of the samples by construction. A NaN sample
+/// never panics: the means are ordered by [`f64::total_cmp`], which puts
+/// NaNs at the ends of the order.
 pub fn bootstrap_mean_interval(
     samples: &[f64],
     resamples: usize,
@@ -73,7 +75,7 @@ pub fn bootstrap_mean_interval(
             acc / n as f64
         })
         .collect();
-    means.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    means.sort_by(f64::total_cmp);
     let pick = |q: f64| -> f64 {
         let idx = ((q * means.len() as f64).ceil() as usize)
             .saturating_sub(1)

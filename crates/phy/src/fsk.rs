@@ -85,19 +85,13 @@ impl FskParams {
 pub struct FskModem {
     params: FskParams,
     /// Tone-0 matched-filter phasor table (one symbol long, conjugated),
-    /// split into SoA re/im planes so the blocked demodulator kernels take
-    /// plain `&[f64]` operands.
+    /// split into SoA re/im planes so the blocked demodulator kernel takes
+    /// plain `&[f64]` operands. Tone 1 sits at `+deviation` and tone 0 at
+    /// `−deviation`, so the tone-1 table is exactly the conjugate of this
+    /// one: the demodulator shares the four partial products between both
+    /// tone correlations ([`energies_fused`]).
     mf0_re: Vec<f64>,
     mf0_im: Vec<f64>,
-    /// Tone-1 planes — only read by the generic kernel when the tables are
-    /// not a bitwise conjugate pair.
-    mf1_re: Vec<f64>,
-    mf1_im: Vec<f64>,
-    /// Whether the tone-1 table equals `conj(tone-0)` bit for bit. True
-    /// for every symmetric-deviation profile (tones at ±deviation); lets
-    /// the demodulator share the four partial products between both tone
-    /// correlations. Checked at construction, bitwise.
-    conj_pair: bool,
     /// One symbol-long blocked tone table per bit value: modulation
     /// multiplies a running base phasor against these, so it never calls
     /// `cis` and carries no per-sample recurrence chain.
@@ -108,27 +102,16 @@ impl FskModem {
     /// Creates a modem for the given parameters.
     pub fn new(params: FskParams) -> Self {
         let sps = params.samples_per_symbol();
-        let make = |f: f64| -> Vec<C64> {
-            (0..sps)
-                .map(|n| C64::cis(-2.0 * PI * f * n as f64 / params.fs_hz))
-                .collect()
-        };
         let tone_for = |bit: u8| {
             hb_dsp::osc::ToneBlock::new(2.0 * PI * params.tone_hz(bit) / params.fs_hz, sps)
         };
-        let mf_zero = make(params.tone_hz(0));
-        let mf_one = make(params.tone_hz(1));
-        let conj_pair = mf_zero
-            .iter()
-            .zip(&mf_one)
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && (-a.im).to_bits() == b.im.to_bits());
+        let mf_zero: Vec<C64> = (0..sps)
+            .map(|n| C64::cis(-2.0 * PI * params.tone_hz(0) * n as f64 / params.fs_hz))
+            .collect();
         FskModem {
             params,
             mf0_re: mf_zero.iter().map(|c| c.re).collect(),
             mf0_im: mf_zero.iter().map(|c| c.im).collect(),
-            mf1_re: mf_one.iter().map(|c| c.re).collect(),
-            mf1_im: mf_one.iter().map(|c| c.im).collect(),
-            conj_pair,
             tone: [tone_for(0), tone_for(1)],
         }
     }
@@ -180,19 +163,7 @@ impl FskModem {
         let mut e0 = vec![0.0; n_sym];
         let mut e1 = vec![0.0; n_sym];
         let aligned = &samples[..n_sym * sps];
-        if self.conj_pair {
-            energies_fused(aligned, &self.mf0_re, &self.mf0_im, &mut e0, &mut e1);
-        } else {
-            energies_generic(
-                aligned,
-                &self.mf0_re,
-                &self.mf0_im,
-                &self.mf1_re,
-                &self.mf1_im,
-                &mut e0,
-                &mut e1,
-            );
-        }
+        energies_fused(aligned, &self.mf0_re, &self.mf0_im, &mut e0, &mut e1);
         (e0, e1)
     }
 
@@ -357,63 +328,6 @@ fn energies_fused(samples: &[C64], wr: &[f64], wi: &[f64], e0: &mut [f64], e1: &
     }
 }
 
-/// Matched-filter energies against two independent tone tables — the
-/// fallback when the tables are not a bitwise conjugate pair. Same lane
-/// structure as [`energies_fused`], full complex MAC per tone; each term
-/// is written in the exact operand order of the scalar reference so the
-/// result is bit-identical.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn energies_generic(
-    samples: &[C64],
-    w0r: &[f64],
-    w0i: &[f64],
-    w1r: &[f64],
-    w1i: &[f64],
-    e0: &mut [f64],
-    e1: &mut [f64],
-) {
-    let sps = w0r.len();
-    let n_sym = e0.len();
-    debug_assert_eq!(samples.len(), n_sym * sps);
-    debug_assert_eq!(e1.len(), n_sym);
-    let mut sym = 0;
-    while sym + DEMOD_LANES <= n_sym {
-        let block = &samples[sym * sps..(sym + DEMOD_LANES) * sps];
-        let mut c0r = [0.0f64; DEMOD_LANES];
-        let mut c0i = [0.0f64; DEMOD_LANES];
-        let mut c1r = [0.0f64; DEMOD_LANES];
-        let mut c1i = [0.0f64; DEMOD_LANES];
-        for i in 0..sps {
-            for l in 0..DEMOD_LANES {
-                let s = block[l * sps + i];
-                c0r[l] += s.re * w0r[i] - s.im * w0i[i];
-                c0i[l] += s.re * w0i[i] + s.im * w0r[i];
-                c1r[l] += s.re * w1r[i] - s.im * w1i[i];
-                c1i[l] += s.re * w1i[i] + s.im * w1r[i];
-            }
-        }
-        for l in 0..DEMOD_LANES {
-            e0[sym + l] = c0r[l] * c0r[l] + c0i[l] * c0i[l];
-            e1[sym + l] = c1r[l] * c1r[l] + c1i[l] * c1i[l];
-        }
-        sym += DEMOD_LANES;
-    }
-    while sym < n_sym {
-        let block = &samples[sym * sps..(sym + 1) * sps];
-        let (mut c0r, mut c0i, mut c1r, mut c1i) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (i, &s) in block.iter().enumerate() {
-            c0r += s.re * w0r[i] - s.im * w0i[i];
-            c0i += s.re * w0i[i] + s.im * w0r[i];
-            c1r += s.re * w1r[i] - s.im * w1i[i];
-            c1i += s.re * w1i[i] + s.im * w1r[i];
-        }
-        e0[sym] = c0r * c0r + c0i * c0i;
-        e1[sym] = c1r * c1r + c1i * c1i;
-        sym += 1;
-    }
-}
-
 /// Errors from [`FskModem::receive_frame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FskRxError {
@@ -543,36 +457,6 @@ mod equivalence {
             }
         }
 
-        /// The generic (non-conjugate) kernel matches the reference too —
-        /// exercised directly since symmetric-deviation profiles always
-        /// take the fused path.
-        #[test]
-        fn generic_kernel_equivalence(
-            sps in 1usize..24,
-            n_sym in 0usize..12,
-            seed_re in -2.0f64..2.0,
-        ) {
-            let fs = 300e3;
-            let params = FskParams { fs_hz: fs, bitrate: fs / sps as f64, deviation_hz: 50e3 };
-            let r = RefFskDemod::new(params);
-            let samples: Vec<C64> = (0..n_sym * sps)
-                .map(|i| C64::new(seed_re + (i as f64 * 0.37).sin(), (i as f64 * 0.61).cos()))
-                .collect();
-            let make = |f: f64| -> Vec<C64> {
-                (0..sps).map(|n| C64::cis(-2.0 * PI * f * n as f64 / fs)).collect()
-            };
-            let mf0 = make(params.tone_hz(0));
-            let mf1 = make(params.tone_hz(1));
-            let (w0r, w0i): (Vec<f64>, Vec<f64>) = mf0.iter().map(|c| (c.re, c.im)).unzip();
-            let (w1r, w1i): (Vec<f64>, Vec<f64>) = mf1.iter().map(|c| (c.re, c.im)).unzip();
-            let mut e0 = vec![0.0; n_sym];
-            let mut e1 = vec![0.0; n_sym];
-            energies_generic(&samples, &w0r, &w0i, &w1r, &w1i, &mut e0, &mut e1);
-            let want = r.demodulate(&samples);
-            let got: Vec<u8> = e0.iter().zip(&e1).map(|(&a, &b)| u8::from(b > a)).collect();
-            prop_assert_eq!(got, want);
-        }
-
         /// The blocked fused kernel (transpose + lane loop) is bit-identical
         /// to a plain one-symbol-at-a-time walk of the same fused
         /// expressions — pins the lane/transpose machinery directly at the
@@ -611,17 +495,12 @@ mod equivalence {
         }
     }
 
-    /// The mics profile takes the fused path (tables are an exact
-    /// conjugate pair), and the fused energies match the reference
+    /// On the mics profile the fused energies match the reference
     /// bitwise on a real modulated frame.
     #[test]
     fn mics_profile_fused_equivalence() {
         let params = FskParams::mics_default();
         let modem = FskModem::new(params);
-        assert!(
-            modem.conj_pair,
-            "mics tables must be a bitwise conjugate pair"
-        );
         let r = RefFskDemod::new(params);
         let mut prbs = crate::bits::Prbs::new(0x2D);
         let bits = prbs.bits(512);

@@ -87,7 +87,7 @@
 //! of either one (the monitor's `advance_silent`/`reset`, the detector's
 //! `reset`) run the monitor's own. Both paths share one stage (b).
 
-use crate::fsk::{FskModem, FskParams};
+use crate::fsk::FskParams;
 use crate::matcher::SidMatcher;
 use crate::packet::{Frame, FrameError, MAX_PAYLOAD, OVERHEAD, PREAMBLE, SYNC_WORD};
 use hb_dsp::complex::C64;
@@ -258,7 +258,7 @@ struct Candidate {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
-    modem: FskModem,
+    params: FskParams,
     /// Stage (a): the sliding-window tone correlator.
     corr: SlidingToneCorrelator,
     phases: Vec<PhaseState>,
@@ -287,7 +287,6 @@ impl StreamingDetector {
     /// Creates a detector for the given FSK parameters, tolerating up to
     /// `sync_errors_allowed` bit errors in the preamble + sync pattern.
     pub fn new(params: FskParams, sync_errors_allowed: usize) -> Self {
-        let modem = FskModem::new(params);
         let sps = params.samples_per_symbol();
         let mut pattern = Vec::with_capacity(SYNC_BITS);
         pattern.extend_from_slice(&crate::bits::bytes_to_bits(&PREAMBLE));
@@ -297,7 +296,7 @@ impl StreamingDetector {
             .collect();
         StreamingDetector {
             corr: detection_correlator(params),
-            modem,
+            params,
             phases,
             lock: None,
             pending: None,
@@ -315,7 +314,7 @@ impl StreamingDetector {
 
     /// The modem parameters in use.
     pub fn params(&self) -> &FskParams {
-        self.modem.params()
+        &self.params
     }
 
     /// True while a frame is being collected.
@@ -828,6 +827,7 @@ impl SidMonitor {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::fsk::FskModem;
     use std::f64::consts::PI;
 
     /// One-symbol tone template `cis(-2π f n / fs)` for `bit`'s tone: the
@@ -1159,6 +1159,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fsk::FskModem;
     use crate::packet::{identifying_sequence, FrameType, Serial};
     use hb_dsp::noise::white_noise;
     use rand::rngs::StdRng;

@@ -9,9 +9,11 @@
 //! * **Turn-around profile** — software (270 µs) vs hardware (10 µs)
 //!   implementation, measured at the jam-release point.
 
+use crate::attack::{self, Attack, FIRE_TICK};
 use crate::montecarlo::{self, Estimate, McConfig};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
+use hb_adversary::active::AttackerConfig;
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_imd::commands::Command;
 use hb_shield::jamsignal::JamSignal;
@@ -195,20 +197,13 @@ pub fn turnaround(effort: Effort, seed: u64) -> TurnaroundAblation {
         }
         let reps = effort.attempts_per_location.max(3);
         // Repetitions fan out; aggregation stays in repetition order.
+        let attacker = AttackerConfig::commercial_programmer();
+        let forgery = [(FIRE_TICK, Command::Interrogate)];
         let samples: Vec<Vec<f64>> = crate::parallel::parallel_map_n(reps, |r| {
             let mut c = cfg.clone();
             c.seed = cfg.seed.wrapping_add(r as u64 * 131);
-            let mut builder = ScenarioBuilder::new(c);
-            let atk_ant = builder.add_at_location(1, "atk");
-            let mut scenario = builder.build();
-            let mut atk = hb_adversary::active::ActiveAttacker::new(
-                hb_adversary::active::AttackerConfig::commercial_programmer(),
-                atk_ant,
-            );
-            let serial = scenario.imd.config().serial;
-            let ch = scenario.channel();
-            atk.send_forged_command(64, ch, serial, Command::Interrogate);
-            scenario.run_seconds(&mut [&mut atk as &mut dyn hb_channel::sim::Node], 0.08);
+            let scenario = Attack::new(&attacker, attack::at_location(1), &forgery, 0.08)
+                .run(ScenarioBuilder::new(c));
             scenario.shield.as_ref().unwrap().stats.turnaround_s.clone()
         });
         let mut acc = 0.0;

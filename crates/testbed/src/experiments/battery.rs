@@ -7,10 +7,11 @@
 //! interrogation attack burns and convert it to days of device lifetime,
 //! with and without the shield.
 
+use crate::attack::{self, Attack, FIRE_TICK};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
-use hb_adversary::active::{ActiveAttacker, AttackerConfig};
-use hb_channel::sim::Node;
+use hb_adversary::active::AttackerConfig;
+use hb_channel::medium::Tick;
 use hb_imd::commands::Command;
 
 use super::Effort;
@@ -34,25 +35,24 @@ pub struct BatteryResult {
 /// Sustains an interrogation attack for `seconds` of simulated time and
 /// counts elicited replies plus radio energy burned.
 fn sustained_attack(shield_on: bool, seconds: f64, seed: u64) -> (u64, f64) {
-    let cfg = if shield_on {
-        ScenarioConfig::paper(seed)
-    } else {
-        ScenarioConfig::paper_no_shield(seed)
+    let cfg = ScenarioConfig {
+        shield_enabled: shield_on,
+        ..ScenarioConfig::paper(seed)
     };
-    let mut builder = ScenarioBuilder::new(cfg);
-    let atk_ant = builder.add_at_location(2, "attacker");
-    let mut scenario = builder.build();
-    let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), atk_ant);
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-
     // One interrogation every 60 ms — as fast as command + reply allow.
-    let period = scenario.medium.blocks_for_duration(0.060) * 16;
+    let period = attack::ticks_after(0.060);
     let n = (seconds / 0.060).ceil() as u64;
-    for i in 0..n {
-        attacker.send_forged_command(64 + i * period, channel, serial, Command::Interrogate);
-    }
-    scenario.run_seconds(&mut [&mut attacker as &mut dyn Node], seconds + 0.06);
+    let forgeries: Vec<(Tick, Command)> = (0..n)
+        .map(|i| (FIRE_TICK + i * period, Command::Interrogate))
+        .collect();
+    let attacker = AttackerConfig::commercial_programmer();
+    let scenario = Attack::new(
+        &attacker,
+        attack::at_location(2),
+        &forgeries,
+        seconds + 0.06,
+    )
+    .run(ScenarioBuilder::new(cfg));
     (
         scenario.imd.stats.responses_sent,
         scenario.imd.battery().radio_energy_j(),

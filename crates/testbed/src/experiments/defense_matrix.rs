@@ -22,18 +22,17 @@
 //! before the fan-out, so the matrix is bit-identical at any thread
 //! count.
 
+use crate::attack::{self, Attack};
 use crate::defense::{Defense, DEFENSES};
 use crate::exchange::{run_exchange, ExchangeDriver, ExchangeReport};
 use crate::montecarlo::{self, Estimate, McConfig};
 use crate::report::{Artifact, Series};
-use crate::scenario::{ImdModel, Scenario, ScenarioBuilder, ScenarioConfig};
-use hb_adversary::active::{ActiveAttacker, AttackerConfig};
+use crate::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
+use hb_adversary::active::AttackerConfig;
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_channel::geometry::Placement;
-use hb_channel::medium::AntennaId;
-use hb_channel::sim::Node;
+use hb_channel::medium::Tick;
 use hb_imd::commands::Command;
-use hb_imd::therapy::TherapyParams;
 
 use super::Effort;
 
@@ -86,71 +85,37 @@ const DRAIN_COMMANDS: u64 = 16;
 const DRAIN_SPACING_S: f64 = 0.060;
 
 /// One matrix trial's raw outcome.
-struct Trial {
+#[derive(Debug, Clone, Copy)]
+pub struct Trial {
     /// Attack-success count pair (numerator, denominator).
-    attack: (u64, u64),
+    pub attack: (u64, u64),
     /// The legitimate exchange completed.
-    delivered: bool,
+    pub delivered: bool,
     /// IMD radio energy spent this trial, millijoules.
-    energy_mj: f64,
+    pub energy_mj: f64,
 }
 
-/// Builds a defended scenario: paper config (model alternated by seed
-/// parity as everywhere else), the defense's configuration edits, the
-/// defense's own antennas, then the adversary antenna — in that order,
-/// so the shield arm's build-time RNG draw sequence matches the seed
-/// engine exactly.
-fn build_defended(
-    defense: &dyn Defense,
-    adv_placement: Placement,
-    seed: u64,
-) -> (Scenario, Box<dyn ExchangeDriver>, AntennaId) {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
+impl Trial {
+    fn of(attack: (u64, u64), scenario: &Scenario, report: &ExchangeReport) -> Self {
+        Trial {
+            attack,
+            delivered: report.delivered,
+            energy_mj: scenario.imd.battery().radio_energy_j() * 1e3,
+        }
+    }
+}
+
+/// A defended scenario before the adversary arrives: paper config (model
+/// pooled by seed parity), the defense's configuration edits, and the
+/// defense's own antennas. The adversary antenna goes in after these, so
+/// the shield arm's build-time RNG draw sequence matches the seed engine
+/// exactly.
+fn defended(defense: &dyn Defense, seed: u64) -> (ScenarioBuilder, Box<dyn ExchangeDriver>) {
+    let mut cfg = ScenarioConfig::pooled(seed);
     defense.configure(&mut cfg);
     let mut builder = ScenarioBuilder::new(cfg);
     let driver = defense.install(&mut builder);
-    let ant = builder.add_at(adv_placement);
-    let scenario = builder.build();
-    (scenario, driver, ant)
-}
-
-/// Runs the legitimate `Interrogate` exchange under the defense's driver
-/// for `seconds`, with `adversary` sharing the medium.
-fn interrogate(
-    scenario: &mut Scenario,
-    driver: &mut dyn ExchangeDriver,
-    adversary: &mut dyn Node,
-    seconds: f64,
-) -> ExchangeReport {
-    run_exchange(
-        scenario,
-        &mut [adversary],
-        driver,
-        Command::Interrogate,
-        seconds,
-    )
-    // Invariant: each defense's `configure` keeps what its driver needs
-    // (the shield, for the shield relay).
-    .expect("a defended scenario carries its driver's relay path")
-}
-
-/// Location-1 placement (20 cm — the paper's hardest near position).
-fn near_placement(label: &str) -> Placement {
-    crate::layout::Fig6Layout::paper()
-        .location(1)
-        .placement(label)
-}
-
-/// The dangerous-but-in-range forged therapy programming (as in Fig. 12).
-fn forged_therapy() -> Command {
-    let mut p = TherapyParams::nominal();
-    p.rate_ppm = 150;
-    Command::SetTherapy(p)
+    (builder, driver)
 }
 
 /// Eavesdropper trial: records the whole exchange with perfect frame
@@ -160,38 +125,47 @@ fn forged_therapy() -> Command {
 /// sealed replies recover to ciphertext, so only an actually-open
 /// air interface leaks.
 fn eaves_trial(defense: &dyn Defense, seed: u64) -> Trial {
-    let (mut scenario, mut driver, ant) = build_defended(defense, near_placement("eve"), seed);
+    let (mut builder, mut driver) = defended(defense, seed);
+    let ant = builder.add_at(attack::at_location(1));
+    let mut scenario = builder.build();
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, ant, scenario.channel());
-    let report = interrogate(&mut scenario, driver.as_mut(), &mut eve, 0.120);
+    let report = run_exchange(
+        &mut scenario,
+        &mut [&mut eve],
+        driver.as_mut(),
+        Command::Interrogate,
+        0.120,
+    )
+    .expect("a defended scenario carries its driver's relay path");
     let leaked = scenario.imd.take_tx_log().iter().any(|r| {
         eve.recover_frame(r.start_tick, r.bits.len())
             .is_some_and(|f| f.payload == r.payload)
     });
-    Trial {
-        attack: (leaked as u64, 1),
-        delivered: report.delivered,
-        energy_mj: scenario.imd.battery().radio_energy_j() * 1e3,
-    }
+    Trial::of((leaked as u64, 1), &scenario, &report)
+}
+
+/// `forgeries` from a commercial programmer at `placement`, during a
+/// legitimate `Interrogate` exchange of `seconds` under the defense.
+fn forged_exchange(
+    defense: &dyn Defense,
+    placement: Placement,
+    forgeries: &[(Tick, Command)],
+    seconds: f64,
+    seed: u64,
+) -> (Scenario, ExchangeReport) {
+    let (builder, mut driver) = defended(defense, seed);
+    let attacker = AttackerConfig::commercial_programmer();
+    Attack::new(&attacker, placement, forgeries, seconds).run_exchange(builder, driver.as_mut())
 }
 
 /// Forger trial from `placement`: a forged therapy command fired at
 /// [`FORGE_AT_S`] into a legitimate `Interrogate` exchange. Success iff
 /// the implant changed therapy.
 fn forge_trial_at(defense: &dyn Defense, placement: Placement, seed: u64) -> Trial {
-    let (mut scenario, mut driver, ant) = build_defended(defense, placement, seed);
-    let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), ant);
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    let block_len = scenario.medium.config().block_len as u64;
-    let start =
-        scenario.medium.tick() + scenario.medium.blocks_for_duration(FORGE_AT_S) * block_len;
-    attacker.send_forged_command(start, channel, serial, forged_therapy());
-    let report = interrogate(&mut scenario, driver.as_mut(), &mut attacker, FORGE_RUN_S);
-    Trial {
-        attack: (u64::from(scenario.imd.stats.therapy_changes > 0), 1),
-        delivered: report.delivered,
-        energy_mj: scenario.imd.battery().radio_energy_j() * 1e3,
-    }
+    let forgery = [(attack::ticks_after(FORGE_AT_S), attack::forged_therapy())];
+    let (scenario, report) = forged_exchange(defense, placement, &forgery, FORGE_RUN_S, seed);
+    let changed = scenario.imd.stats.therapy_changes > 0;
+    Trial::of((u64::from(changed), 1), &scenario, &report)
 }
 
 /// Drain trial: [`DRAIN_COMMANDS`] forged interrogations at
@@ -202,26 +176,20 @@ fn forge_trial_at(defense: &dyn Defense, placement: Placement, seed: u64) -> Tri
 /// reply (open air), an in-window reply (wake gate), or an auth Nak
 /// (IMDfence's refusal cost).
 fn drain_trial(defense: &dyn Defense, seed: u64) -> Trial {
-    let (mut scenario, mut driver, ant) = build_defended(defense, near_placement("drainer"), seed);
-    let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), ant);
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    let block_len = scenario.medium.config().block_len as u64;
-    let tick0 = scenario.medium.tick();
-    let spacing = scenario.medium.blocks_for_duration(DRAIN_SPACING_S) * block_len;
-    let start = tick0 + scenario.medium.blocks_for_duration(FORGE_AT_S) * block_len;
-    for i in 0..DRAIN_COMMANDS {
-        attacker.send_forged_command(start + i * spacing, channel, serial, Command::Interrogate);
-    }
+    let start = attack::ticks_after(FORGE_AT_S);
+    let spacing = attack::ticks_after(DRAIN_SPACING_S);
+    let forgeries: [(Tick, Command); DRAIN_COMMANDS as usize] =
+        std::array::from_fn(|i| (start + i as Tick * spacing, Command::Interrogate));
     let seconds = FORGE_AT_S + DRAIN_COMMANDS as f64 * DRAIN_SPACING_S + 0.080;
-    let report = interrogate(&mut scenario, driver.as_mut(), &mut attacker, seconds);
+    let near = attack::at_location(1);
+    let (scenario, report) = forged_exchange(defense, near, &forgeries, seconds, seed);
     let legit = report.stats.replies_delivered + report.stats.handshakes_completed;
     let extra = scenario.imd.stats.responses_sent.saturating_sub(legit);
-    Trial {
-        attack: (extra.min(DRAIN_COMMANDS), DRAIN_COMMANDS),
-        delivered: report.delivered,
-        energy_mj: scenario.imd.battery().radio_energy_j() * 1e3,
-    }
+    Trial::of(
+        (extra.min(DRAIN_COMMANDS), DRAIN_COMMANDS),
+        &scenario,
+        &report,
+    )
 }
 
 /// Walker trial: the forger along the mobile walk, waypoint chosen by
@@ -232,11 +200,12 @@ fn walker_trial(defense: &dyn Defense, seed: u64) -> Trial {
     forge_trial_at(defense, wp.placement("walker"), seed)
 }
 
-/// Dispatches one trial of `adversary` against `defense`.
-fn trial(adversary: Adversary, defense: &dyn Defense, seed: u64) -> Trial {
+/// One trial of `adversary` against `defense` from a fresh scenario
+/// seeded `seed` — the unit every cell of the matrix pools.
+pub fn trial(adversary: Adversary, defense: &dyn Defense, seed: u64) -> Trial {
     match adversary {
         Adversary::Eavesdropper => eaves_trial(defense, seed),
-        Adversary::Forger => forge_trial_at(defense, near_placement("attacker"), seed),
+        Adversary::Forger => forge_trial_at(defense, attack::at_location(1), seed),
         Adversary::Drain => drain_trial(defense, seed),
         Adversary::Walker => walker_trial(defense, seed),
     }
@@ -388,11 +357,11 @@ mod tests {
         // jams the forged frame, IMDfence never authenticates plaintext,
         // and the wake-up gate's open session window lets it through.
         let seed = super::super::test_seed(83) | 1; // odd → Concerto arm
-        let shield = forge_trial_at(&ShieldDefense, near_placement("attacker"), seed);
+        let shield = trial(Adversary::Forger, &ShieldDefense, seed);
         assert_eq!(shield.attack.0, 0, "shield must jam the forged frame");
-        let fence = forge_trial_at(&ImdFenceDefense, near_placement("attacker"), seed);
+        let fence = trial(Adversary::Forger, &ImdFenceDefense, seed);
         assert_eq!(fence.attack.0, 0, "plaintext must never authenticate");
-        let wake = forge_trial_at(&WakeupRadioDefense, near_placement("attacker"), seed);
+        let wake = trial(Adversary::Forger, &WakeupRadioDefense, seed);
         assert_eq!(
             wake.attack.0, 1,
             "in-window forgery is the wake gate's documented residue"

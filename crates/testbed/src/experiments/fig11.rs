@@ -7,34 +7,13 @@
 //! attack succeeds out to 14 m (location 8, success 0.59, with locations
 //! 6–7 at 0.94/0.77); with the shield it fails everywhere, even at 20 cm.
 
+use crate::attack::{self, Attack, AttackGoal, AttackOutcome, FIRE_TICK};
 use crate::report::{Artifact, Series};
-use crate::scenario::{ImdModel, ScenarioBuilder, ScenarioConfig};
-use hb_adversary::active::{ActiveAttacker, AttackerConfig};
-use hb_channel::sim::Node;
-use hb_imd::commands::Command;
-use hb_imd::therapy::TherapyParams;
+use crate::scenario::{ScenarioBuilder, ScenarioConfig};
+use hb_adversary::active::AttackerConfig;
+use hb_channel::geometry::Placement;
 
 use super::Effort;
-
-/// What a single attack attempt is trying to do.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AttackGoal {
-    /// Trigger a reply (depletes the battery; leaks data).
-    ElicitReply,
-    /// Change therapy parameters.
-    ChangeTherapy,
-}
-
-/// Outcome of one attack attempt.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AttackOutcome {
-    /// The IMD executed the command / replied.
-    pub success: bool,
-    /// The shield raised an alarm (always false when absent).
-    pub alarm: bool,
-    /// The shield engaged active jamming.
-    pub jammed: bool,
-}
 
 /// Runs one attack attempt from numbered location `location` and reports
 /// the outcome.
@@ -48,70 +27,30 @@ pub fn attack_once(
     goal: AttackGoal,
     seed: u64,
 ) -> AttackOutcome {
-    let placement = crate::layout::Fig6Layout::paper()
-        .location(location)
-        .placement("attacker");
+    let placement = attack::at_location(location);
     attack_once_at(placement, shield_on, attacker_cfg, goal, seed)
 }
 
 /// [`attack_once`] from an arbitrary placement — the mobile-adversary
 /// sweep walks the attacker through positions that are not numbered
-/// Fig. 6 locations.
+/// Fig. 6 locations. One forgery of the goal's command at
+/// [`FIRE_TICK`]; 90 ms covers the command (~20 ms), the reply window
+/// and the jam tails.
 pub fn attack_once_at(
-    placement: hb_channel::geometry::Placement,
+    placement: Placement,
     shield_on: bool,
     attacker_cfg: &AttackerConfig,
     goal: AttackGoal,
     seed: u64,
 ) -> AttackOutcome {
-    let mut cfg = if shield_on {
-        ScenarioConfig::paper(seed)
-    } else {
-        ScenarioConfig::paper_no_shield(seed)
+    let cfg = ScenarioConfig {
+        shield_enabled: shield_on,
+        ..ScenarioConfig::pooled(seed)
     };
-    // The paper evaluates both devices and pools the results (§10);
-    // alternate between them by seed.
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
-    let mut builder = ScenarioBuilder::new(cfg);
-    let atk_ant = builder.add_at(placement);
-    let mut scenario = builder.build();
-    let mut attacker = ActiveAttacker::new(attacker_cfg.clone(), atk_ant);
-
-    let cmd = match goal {
-        AttackGoal::ElicitReply => Command::Interrogate,
-        AttackGoal::ChangeTherapy => {
-            let mut p = TherapyParams::nominal();
-            p.rate_ppm = 150; // a dangerous but in-range setting
-            Command::SetTherapy(p)
-        }
-    };
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    // Give the shield a little idle time first (its probe cycle), then
-    // attack.
-    let start = scenario.medium.tick() + 64;
-    attacker.send_forged_command(start, channel, serial, cmd);
-    // Command (~20 ms) + reply window + jam tails: 90 ms covers it.
-    scenario.run_seconds(&mut [&mut attacker as &mut dyn Node], 0.090);
-
-    let success = match goal {
-        AttackGoal::ElicitReply => scenario.imd.stats.responses_sent > 0,
-        AttackGoal::ChangeTherapy => scenario.imd.stats.therapy_changes > 0,
-    };
-    let (alarm, jammed) = scenario
-        .shield
-        .as_ref()
-        .map(|s| (s.stats.alarms > 0, s.stats.active_jam_events > 0))
-        .unwrap_or((false, false));
-    AttackOutcome {
-        success,
-        alarm,
-        jammed,
-    }
+    let forgery = [(FIRE_TICK, goal.command())];
+    let scenario =
+        Attack::new(attacker_cfg, placement, &forgery, 0.090).run(ScenarioBuilder::new(cfg));
+    AttackOutcome::of(goal, &scenario)
 }
 
 /// Success probability over `attempts` fresh scenarios.
@@ -135,32 +74,13 @@ pub fn success_probability(
     successes as f64 / attempts as f64
 }
 
-/// Adaptive success-probability estimate: one attack attempt per trial,
-/// grown in deterministic rounds until the Wilson interval reaches the
-/// effort's half-width target — capped at the effort's attempt budget, so
-/// the degenerate arms (success ≈ 0 or ≈ 1, whose intervals tighten
-/// slowly) cost no more than the legacy fixed-sample sweep.
-pub fn success_probability_ci(
-    location: usize,
-    shield_on: bool,
-    attacker_cfg: &AttackerConfig,
-    goal: AttackGoal,
-    effort: &super::Effort,
-    seed: u64,
-) -> crate::montecarlo::Estimate {
-    success_probability_ci_with(
-        crate::parallel::threads(),
-        location,
-        shield_on,
-        attacker_cfg,
-        goal,
-        effort,
-        seed,
-    )
-}
-
-/// [`success_probability_ci`] with an explicit worker count (location
-/// sweeps fan out across locations and run each arm single-worker).
+/// Adaptive success-probability estimate on `workers` workers: one
+/// attack attempt per trial, grown in deterministic rounds until the
+/// Wilson interval reaches the effort's half-width target — capped at the
+/// effort's attempt budget, so the degenerate arms (success ≈ 0 or ≈ 1,
+/// whose intervals tighten slowly) cost no more than the fixed-sample
+/// sweep. Location sweeps fan out across locations and run each arm
+/// single-worker.
 pub fn success_probability_ci_with(
     workers: usize,
     location: usize,
@@ -198,25 +118,18 @@ pub struct Fig11Result {
 pub fn run(effort: Effort, seed: u64) -> Fig11Result {
     let cfg = AttackerConfig::commercial_programmer();
     let arms: Vec<(f64, f64)> = crate::parallel::parallel_map_n(14, |i| {
-        let loc = i + 1;
-        (
+        let arm = |shield_on: bool, seed: u64| {
+            let goal = AttackGoal::ElicitReply;
             success_probability(
-                loc,
-                false,
+                i + 1,
+                shield_on,
                 &cfg,
-                AttackGoal::ElicitReply,
+                goal,
                 effort.attempts_per_location,
                 seed,
-            ),
-            success_probability(
-                loc,
-                true,
-                &cfg,
-                AttackGoal::ElicitReply,
-                effort.attempts_per_location,
-                seed ^ 0xABCD,
-            ),
-        )
+            )
+        };
+        (arm(false, seed), arm(true, seed ^ 0xABCD))
     });
     let mut absent = Vec::new();
     let mut present = Vec::new();

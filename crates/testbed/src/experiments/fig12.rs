@@ -8,11 +8,12 @@
 //! to transmit" — our reproduction exhibits the same, since both ride the
 //! same physical layer.
 
+use crate::attack::AttackGoal;
 use crate::montecarlo::{self, Estimate};
 use crate::report::{Artifact, Series};
 use hb_adversary::active::AttackerConfig;
 
-use super::fig11::{success_probability_ci_with, AttackGoal};
+use super::fig11::success_probability_ci_with;
 use super::Effort;
 
 /// Result of the Fig. 12 experiment.
@@ -38,25 +39,14 @@ pub fn run(effort: Effort, seed: u64) -> Fig12Result {
     let cfg = AttackerConfig::commercial_programmer();
     let arms: Vec<(Estimate, Estimate)> = crate::parallel::parallel_map_n(14, |i| {
         let loc = i + 1;
+        let arm = |shield_on: bool, master: u64| {
+            let seed = montecarlo::trial_seed(master, loc as u64);
+            let goal = AttackGoal::ChangeTherapy;
+            success_probability_ci_with(1, loc, shield_on, &cfg, goal, &effort, seed)
+        };
         (
-            success_probability_ci_with(
-                1,
-                loc,
-                false,
-                &cfg,
-                AttackGoal::ChangeTherapy,
-                &effort,
-                montecarlo::trial_seed(seed.wrapping_add(7777), loc as u64),
-            ),
-            success_probability_ci_with(
-                1,
-                loc,
-                true,
-                &cfg,
-                AttackGoal::ChangeTherapy,
-                &effort,
-                montecarlo::trial_seed(seed ^ 0x5A5A, loc as u64),
-            ),
+            arm(false, seed.wrapping_add(7777)),
+            arm(true, seed ^ 0x5A5A),
         )
     });
     let mut absent_est = Vec::new();
@@ -147,7 +137,8 @@ mod tests {
             mc_max_trials: 12,
             ..Effort::tiny()
         };
-        let est = super::super::fig11::success_probability_ci(
+        let est = success_probability_ci_with(
+            crate::parallel::threads(),
             2,
             true,
             &cfg,

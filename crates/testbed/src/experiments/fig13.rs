@@ -8,10 +8,11 @@
 //! line-of-sight locations (< 5 m, locations 1–4, with location 5 at 0.1);
 //! whenever it succeeds despite the shield, the shield raises an alarm.
 
+use crate::attack::AttackGoal;
 use crate::report::{Artifact, Series};
 use hb_adversary::active::AttackerConfig;
 
-use super::fig11::{attack_once, AttackGoal};
+use super::fig11::attack_once;
 use super::Effort;
 
 /// Result of the Fig. 13 experiment.

@@ -37,13 +37,7 @@ pub struct Fig9Result {
 /// both devices as the paper does), [`PACKETS_PER_TRIAL`] exchanges,
 /// `(bit_errors, bits)` out.
 fn location_trial(location: usize, seed: u64) -> (u64, u64) {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        crate::scenario::ImdModel::VirtuosoIcd
-    } else {
-        crate::scenario::ImdModel::ConcertoCrt
-    };
-    let mut builder = ScenarioBuilder::new(cfg);
+    let mut builder = ScenarioBuilder::new(ScenarioConfig::pooled(seed));
     let eve_ant = builder.add_at_location(location, "eavesdropper");
     let mut scenario = builder.build();
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());

@@ -32,12 +32,12 @@
 //!
 //! [`Medium`]: hb_channel::medium::Medium
 
+use crate::attack::{Attack, AttackGoal, AttackOutcome, FIRE_TICK};
 use crate::report::{Artifact, Series};
 use crate::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
-use hb_adversary::active::{ActiveAttacker, AttackerConfig};
+use hb_adversary::active::AttackerConfig;
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_channel::geometry::Placement;
-use hb_channel::sim::Node;
 use hb_imd::commands::Command;
 use hb_imd::models::ImdConfig;
 use hb_phy::packet::Serial;
@@ -233,24 +233,17 @@ fn monitoring_arm(rounds: usize, seed: u64) -> (Vec<BedRow>, f64, usize) {
 /// Returns (successes, jammed count).
 fn attack_arm(attempts: usize, seed: u64) -> (usize, usize) {
     let cfg = AttackerConfig::commercial_programmer();
+    let goal = AttackGoal::ElicitReply;
+    let forgery = [(FIRE_TICK, goal.command())];
     let mut successes = 0usize;
     let mut jammed = 0usize;
     for a in 0..attempts {
-        let mut builder = floor_builder(seed.wrapping_add(a as u64 * 9176));
-        let atk_ant = builder.add_at(Placement::los("attacker", 0.3, 0.5));
-        let mut scenario = builder.build();
-        let mut attacker = ActiveAttacker::new(cfg.clone(), atk_ant);
-        let serial = scenario.imd.config().serial;
-        let channel = scenario.channel();
-        let start = scenario.medium.tick() + 64;
-        attacker.send_forged_command(start, channel, serial, Command::Interrogate);
-        scenario.run_seconds(&mut [&mut attacker as &mut dyn Node], 0.090);
-        if scenario.imd.stats.responses_sent > 0 {
-            successes += 1;
-        }
-        if scenario.shield.as_ref().unwrap().stats.active_jam_events > 0 {
-            jammed += 1;
-        }
+        let builder = floor_builder(seed.wrapping_add(a as u64 * 9176));
+        let placement = Placement::los("attacker", 0.3, 0.5);
+        let scenario = Attack::new(&cfg, placement, &forgery, 0.090).run(builder);
+        let outcome = AttackOutcome::of(goal, &scenario);
+        successes += usize::from(outcome.success);
+        jammed += usize::from(outcome.jammed);
     }
     (successes, jammed)
 }

@@ -10,15 +10,16 @@
 //! engages active jamming — i.e. where along the walk the attack starts
 //! landing and where the shield starts reacting.
 //!
-//! This module is registry-only: every waypoint attack is
-//! [`fig11::attack_once_at`] with an interpolated placement — no bespoke
-//! runner machinery.
+//! This module is registry-only: every waypoint attack is Fig. 11's
+//! attempt ([`fig11::attack_once_at`], one [`crate::attack::Attack`])
+//! from an interpolated placement — no bespoke runner machinery.
 
+use crate::attack::AttackGoal;
 use crate::report::{Artifact, Series};
 use hb_adversary::active::AttackerConfig;
 use hb_channel::geometry::Placement;
 
-use super::fig11::{self, AttackGoal};
+use super::fig11;
 use super::registry::{EvalCtx, Experiment};
 use super::Effort;
 
@@ -93,6 +94,10 @@ pub fn run(effort: Effort, seed: u64) -> MobileResult {
     let cfg = AttackerConfig::commercial_programmer();
     let waypoints = path(WAYPOINTS);
     let rows: Vec<(f64, f64, f64, f64)> = crate::parallel::parallel_map(&waypoints, |w, wp| {
+        let attempt = |shield_on: bool, sd: u64| {
+            let goal = AttackGoal::ElicitReply;
+            fig11::attack_once_at(wp.placement("walker"), shield_on, &cfg, goal, sd)
+        };
         let mut s_abs = 0usize;
         let mut s_pres = 0usize;
         let mut jams = 0usize;
@@ -100,24 +105,10 @@ pub fn run(effort: Effort, seed: u64) -> MobileResult {
             let sd = seed
                 .wrapping_mul(0x9E3779B97F4A7C15)
                 .wrapping_add((w * 4096 + a) as u64);
-            if fig11::attack_once_at(
-                wp.placement("walker"),
-                false,
-                &cfg,
-                AttackGoal::ElicitReply,
-                sd,
-            )
-            .success
-            {
+            if attempt(false, sd).success {
                 s_abs += 1;
             }
-            let on = fig11::attack_once_at(
-                wp.placement("walker"),
-                true,
-                &cfg,
-                AttackGoal::ElicitReply,
-                sd ^ 0xBEEF,
-            );
+            let on = attempt(true, sd ^ 0xBEEF);
             if on.success {
                 s_pres += 1;
             }

@@ -5,6 +5,13 @@
 //! entry so drivers (the `hb_eval` CLI, the benchmark's sweep) never
 //! hard-code experiment names.
 //!
+//! Every active-attack experiment — Figs. 11–13, Table 1, the battery,
+//! mobile, hospital-floor, resilience and defense-matrix extensions, and
+//! the turn-around ablation — forges its commands through
+//! [`crate::attack::Attack`]; Table 2 and the cross-traffic study keep
+//! their own wiring, since their attacker shares an antenna with a
+//! cross-traffic node.
+//!
 //! | Module | Reproduces |
 //! |---|---|
 //! | [`fig3`]  | Fig. 3 — IMD reply timing; no carrier sense |

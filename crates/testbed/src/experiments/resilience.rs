@@ -27,16 +27,15 @@
 //! master seeds derived before the fan-out, so the matrix is
 //! bit-identical at any thread count.
 
+use crate::attack::{self, Attack, FIRE_TICK};
 use crate::exchange::{run_exchange, ArqDriver};
 use crate::montecarlo::{self, Estimate, McConfig};
 use crate::report::{Artifact, Series};
-use crate::scenario::{ImdModel, ScenarioBuilder, ScenarioConfig};
-use hb_adversary::active::{ActiveAttacker, AttackerConfig};
+use crate::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
+use hb_adversary::active::AttackerConfig;
 use hb_channel::fault::FaultPlan;
-use hb_channel::sim::Node;
 use hb_imd::arq::ArqConfig;
 use hb_imd::commands::Command;
-use hb_imd::therapy::TherapyParams;
 
 use super::Effort;
 
@@ -89,13 +88,10 @@ pub fn fault_plan_with_outage(intensity: f64) -> FaultPlan {
 /// one `Interrogate` exchange under the given ARQ policy. Returns
 /// `(delivered, attempts, imd_radio_energy_j)`.
 fn exchange_trial(intensity: f64, arq: ArqConfig, seed: u64) -> (bool, u32, f64) {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
+    let cfg = ScenarioConfig {
+        fault: fault_plan(intensity),
+        ..ScenarioConfig::pooled(seed)
     };
-    cfg.fault = fault_plan(intensity);
     let mut scenario = ScenarioBuilder::new(cfg).build();
     let report = run_exchange(
         &mut scenario,
@@ -109,36 +105,30 @@ fn exchange_trial(intensity: f64, arq: ArqConfig, seed: u64) -> (bool, u32, f64)
     (report.delivered, report.stats.attempts, energy)
 }
 
-/// One forged-command trial for the security row: attacker with a
-/// commercial programmer at 20 cm (location 1), faults at `intensity`
-/// *plus* the periodic shield outage overlapping the forged frame.
-/// Returns true iff the IMD changed therapy — the outcome that must
-/// never happen.
-fn forged_trial(intensity: f64, seed: u64) -> bool {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
+/// The security row's attack: a commercial programmer at 20 cm
+/// (location 1) forges `cmd` at [`FIRE_TICK`], so the frame (0.2–20.7 ms)
+/// straddles the 5–13 ms shield outage of
+/// [`fault_plan_with_outage`]`(intensity)`.
+fn outage_attack(cfg: ScenarioConfig, intensity: f64, cmd: Command) -> Scenario {
+    let cfg = ScenarioConfig {
+        fault: fault_plan_with_outage(intensity),
+        ..cfg
     };
-    cfg.fault = fault_plan_with_outage(intensity);
-    let mut builder = ScenarioBuilder::new(cfg);
-    let atk_ant = builder.add_at(
-        crate::layout::Fig6Layout::paper()
-            .location(1)
-            .placement("attacker"),
+    let forgery = [(FIRE_TICK, cmd)];
+    let attacker = AttackerConfig::commercial_programmer();
+    Attack::new(&attacker, attack::at_location(1), &forgery, 0.090).run(ScenarioBuilder::new(cfg))
+}
+
+/// One forged-command trial for the security row: the forged therapy
+/// under faults at `intensity` *plus* the periodic shield outage
+/// overlapping the frame. Returns true iff the IMD changed therapy — the
+/// outcome that must never happen.
+fn forged_trial(intensity: f64, seed: u64) -> bool {
+    let scenario = outage_attack(
+        ScenarioConfig::pooled(seed),
+        intensity,
+        attack::forged_therapy(),
     );
-    let mut scenario = builder.build();
-    let atk_cfg = AttackerConfig::commercial_programmer();
-    let mut attacker = ActiveAttacker::new(atk_cfg, atk_ant);
-    let mut p = TherapyParams::nominal();
-    p.rate_ppm = 150;
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    // Fire so the frame (0.2–20.7 ms) straddles the 5–13 ms outage.
-    let start = scenario.medium.tick() + 64;
-    attacker.send_forged_command(start, channel, serial, Command::SetTherapy(p));
-    scenario.run_seconds(&mut [&mut attacker as &mut dyn Node], 0.090);
     scenario.imd.stats.therapy_changes > 0
 }
 
@@ -345,21 +335,7 @@ mod tests {
             "forged therapy command must not execute mid-outage"
         );
         // Accounting check on a fixed scenario driven the same way.
-        let mut cfg = ScenarioConfig::paper(seed);
-        cfg.fault = fault_plan_with_outage(0.0);
-        let mut builder = ScenarioBuilder::new(cfg);
-        let atk_ant = builder.add_at(
-            crate::layout::Fig6Layout::paper()
-                .location(1)
-                .placement("attacker"),
-        );
-        let mut scenario = builder.build();
-        let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), atk_ant);
-        let serial = scenario.imd.config().serial;
-        let channel = scenario.channel();
-        let start = scenario.medium.tick() + 64;
-        attacker.send_forged_command(start, channel, serial, Command::Interrogate);
-        scenario.run_seconds(&mut [&mut attacker as &mut dyn Node], 0.090);
+        let scenario = outage_attack(ScenarioConfig::paper(seed), 0.0, Command::Interrogate);
         let shield = scenario.shield.as_ref().unwrap();
         assert!(shield.stats.outage_blocks > 0, "outage windows must occur");
         assert!(

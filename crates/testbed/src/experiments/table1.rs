@@ -9,10 +9,10 @@
 //! near-field coupling; ours differ by a fixed offset — see DESIGN.md —
 //! while the procedure and the min/avg/σ structure reproduce).
 
+use crate::attack::{self, Attack, FIRE_TICK};
 use crate::report::{stat_table, Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
-use hb_adversary::active::{ActiveAttacker, AttackerConfig};
-use hb_channel::sim::Node;
+use hb_adversary::active::AttackerConfig;
 use hb_dsp::stats::RunningStats;
 use hb_dsp::units::db_from_ratio;
 use hb_imd::commands::Command;
@@ -40,23 +40,18 @@ pub struct Table1Result {
 /// One attempt at a given adversary power; returns `Some(rssi at shield)`
 /// if the IMD responded despite jamming.
 pub fn attempt(tx_power_dbm: f64, seed: u64) -> Option<f64> {
-    let mut builder = ScenarioBuilder::new(ScenarioConfig::paper(seed));
-    let atk_ant = builder.add_at_location(1, "attacker");
-    let mut scenario = builder.build();
-    let mut attacker = ActiveAttacker::new(
-        AttackerConfig {
-            tx_power_dbm,
-            fsk: FskParams::mics_default(),
-        },
-        atk_ant,
-    );
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    attacker.send_forged_command(64, channel, serial, Command::Interrogate);
-    scenario.run_seconds(&mut [&mut attacker as &mut dyn Node], 0.090);
+    let attacker = AttackerConfig {
+        tx_power_dbm,
+        fsk: FskParams::mics_default(),
+    };
+    let forgery = [(FIRE_TICK, Command::Interrogate)];
+    let scenario = Attack::new(&attacker, attack::at_location(1), &forgery, 0.090)
+        .run(ScenarioBuilder::new(ScenarioConfig::paper(seed)));
 
     if scenario.imd.stats.responses_sent > 0 {
-        // Ground-truth RSSI at the shield's receive antenna.
+        // Ground-truth RSSI at the shield's receive antenna from the
+        // attacker's, which the attack adds last.
+        let atk_ant = scenario.medium.antenna_count() - 1;
         let shield = scenario.shield.as_ref().unwrap();
         let gain = scenario.medium.gain(atk_ant, shield.rx_antenna());
         Some(tx_power_dbm + db_from_ratio(gain.norm_sq()))

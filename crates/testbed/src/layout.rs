@@ -36,6 +36,16 @@ pub struct Location {
 }
 
 impl Location {
+    /// Location `index` (1-based) of the reconstructed Fig. 6 layout.
+    pub fn paper(index: usize) -> Location {
+        let (distance_m, line_of_sight) = PAPER_LOCATIONS[index - 1];
+        Location {
+            index,
+            distance_m,
+            line_of_sight,
+        }
+    }
+
     /// The placement for this location (positions along +x; only the
     /// distance and LOS flag matter to the channel model).
     pub fn placement(&self, label: &str) -> Placement {
@@ -58,6 +68,29 @@ pub struct Fig6Layout {
     pub shield_offset_m: f64,
 }
 
+/// The 18 locations of the reconstructed Fig. 6 layout, in paper order:
+/// (distance from the IMD/shield cluster in meters, line of sight).
+const PAPER_LOCATIONS: [(f64, bool); 18] = [
+    (0.20, true),  // 1  — the 20 cm eavesdropper/attacker
+    (1.50, true),  // 2
+    (2.50, true),  // 3
+    (4.00, true),  // 4  — last 100x success with shield (Fig. 13)
+    (6.00, true),  // 5
+    (3.50, false), // 6  — near NLOS (Fig. 11: 0.94)
+    (13.0, true),  // 7
+    (14.0, true),  // 8  — FCC-power limit without shield
+    (9.00, false), // 9  — first clear failure for FCC power
+    (24.0, true),  // 10
+    (11.0, false), // 11
+    (12.0, false), // 12
+    (27.0, true),  // 13 — 100x limit without shield
+    (22.0, false), // 14
+    (25.0, false), // 15
+    (28.0, false), // 16
+    (30.0, false), // 17
+    (30.5, false), // 18
+];
+
 impl Default for Fig6Layout {
     fn default() -> Self {
         Self::paper()
@@ -67,36 +100,8 @@ impl Default for Fig6Layout {
 impl Fig6Layout {
     /// The reconstructed Fig. 6 layout.
     pub fn paper() -> Self {
-        let spec: [(f64, bool); 18] = [
-            (0.20, true),  // 1  — the 20 cm eavesdropper/attacker
-            (1.50, true),  // 2
-            (2.50, true),  // 3
-            (4.00, true),  // 4  — last 100x success with shield (Fig. 13)
-            (6.00, true),  // 5
-            (3.50, false), // 6  — near NLOS (Fig. 11: 0.94)
-            (13.0, true),  // 7
-            (14.0, true),  // 8  — FCC-power limit without shield
-            (9.00, false), // 9  — first clear failure for FCC power
-            (24.0, true),  // 10
-            (11.0, false), // 11
-            (12.0, false), // 12
-            (27.0, true),  // 13 — 100x limit without shield
-            (22.0, false), // 14
-            (25.0, false), // 15
-            (28.0, false), // 16
-            (30.0, false), // 17
-            (30.5, false), // 18
-        ];
         Fig6Layout {
-            locations: spec
-                .iter()
-                .enumerate()
-                .map(|(i, &(d, los))| Location {
-                    index: i + 1,
-                    distance_m: d,
-                    line_of_sight: los,
-                })
-                .collect(),
+            locations: (1..=PAPER_LOCATIONS.len()).map(Location::paper).collect(),
             shield_offset_m: 0.25,
         }
     }

@@ -13,6 +13,10 @@
 //!   [`exchange::ExchangeDriver`] — the shield relay, link-layer ARQ
 //!   (timeout/backoff/bounded retries) with live MICS session recovery
 //!   onto a clean channel, or a defense's own driver.
+//! * [`attack`] — the one forged-command attack: an
+//!   [`attack::Attack`] adds the attacker antenna last, queues forged
+//!   commands at the implant's serial and runs, bare or during a
+//!   legitimate exchange. Every active-attack experiment goes through it.
 //! * [`defense`] — the defense matrix: alternative IMD-security
 //!   protocols (the paper's shield, IMDfence-style in-device sessions,
 //!   zero-power wake-up gating) behind one [`defense::Defense`] trait so
@@ -30,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod attack;
 pub mod checkpoint;
 pub mod crosstraffic;
 pub mod defense;

@@ -660,6 +660,22 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_mean_survives_nan_trials() {
+        // A NaN sample is no panic, so nothing quarantines it: the
+        // bootstrap stopping test must still order the resampled means.
+        let c = cfg(8, 32, 0.05);
+        let est = adaptive_mean_ctl(1, &c, 5, None, |s| {
+            if s % 3 == 0 {
+                f64::NAN
+            } else {
+                (trial_seed(s, 0) >> 11) as f64 / (1u64 << 53) as f64
+            }
+        });
+        assert!(est.mean.is_nan(), "some trial must have returned NaN");
+        assert_eq!(est.n, 32, "a NaN interval never converges: run to the cap");
+    }
+
+    #[test]
     fn trial_seeds_decorrelate() {
         // Neighbouring indices and neighbouring masters both produce
         // well-separated seeds (SplitMix64 avalanche).

@@ -113,6 +113,20 @@ impl ScenarioConfig {
         }
     }
 
+    /// Paper defaults with the implant drawn from both evaluated devices:
+    /// the paper pools the Virtuoso ICD and the Concerto CRT (§10), so
+    /// even seeds get the Virtuoso and odd seeds the Concerto.
+    pub fn pooled(seed: u64) -> Self {
+        ScenarioConfig {
+            imd_model: if seed.is_multiple_of(2) {
+                ImdModel::VirtuosoIcd
+            } else {
+                ImdModel::ConcertoCrt
+            },
+            ..Self::paper(seed)
+        }
+    }
+
     /// Same, without the shield (the "Shield Absent" bars).
     pub fn paper_no_shield(seed: u64) -> Self {
         ScenarioConfig {

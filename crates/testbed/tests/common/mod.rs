@@ -7,16 +7,11 @@
 use hb_imd::commands::Command;
 use hb_testbed::defense::Defense;
 use hb_testbed::exchange::{run_exchange, ExchangeStats};
-use hb_testbed::scenario::{ImdModel, Scenario, ScenarioBuilder, ScenarioConfig};
+use hb_testbed::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
 
-/// Paper config with the usual model alternation and the defense's edits.
+/// Paper config with the usual model pooling and the defense's edits.
 pub fn defended_config(defense: &dyn Defense, seed: u64) -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::paper(seed);
-    cfg.imd_model = if seed.is_multiple_of(2) {
-        ImdModel::VirtuosoIcd
-    } else {
-        ImdModel::ConcertoCrt
-    };
+    let mut cfg = ScenarioConfig::pooled(seed);
     defense.configure(&mut cfg);
     cfg
 }

@@ -18,13 +18,13 @@
 //!   and eavesdropper positions), which is why the golden suite needs no
 //!   re-capture.
 
-use hb_adversary::active::{ActiveAttacker, AttackerConfig};
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_channel::sim::Node;
 use hb_imd::commands::Command;
-use hb_imd::therapy::TherapyParams;
 use hb_testbed::defense::{Defense, ShieldDefense, DEFENSES};
 use hb_testbed::exchange::{run_exchange, ExchangeStats};
+use hb_testbed::experiments::defense_matrix::{trial, Adversary};
+use hb_testbed::experiments::test_seed;
 use hb_testbed::montecarlo::{self, McConfig};
 use hb_testbed::scenario::ScenarioBuilder;
 use proptest::prelude::*;
@@ -32,76 +32,17 @@ use proptest::prelude::*;
 mod common;
 use common::{defended_config, exchange_fingerprint, fingerprint_of, Fingerprint};
 
-/// The statistical tests honor `HB_TEST_SEED` (CI sweeps it).
-fn test_seed(default: u64) -> u64 {
-    std::env::var("HB_TEST_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// One forged-therapy attempt against a defended exchange: commercial
-/// programmer at 20 cm, fired after the legitimate exchange settles
-/// (matching the defense-matrix forger row). True iff therapy changed.
+/// One forged-therapy attempt against a defended exchange: the
+/// defense-matrix forger row (commercial programmer at 20 cm, fired after
+/// the legitimate exchange settles). True iff therapy changed.
 fn forge_once(defense: &dyn Defense, seed: u64) -> bool {
-    let cfg = defended_config(defense, seed);
-    let mut builder = ScenarioBuilder::new(cfg);
-    let mut driver = defense.install(&mut builder);
-    let atk_ant = builder.add_at(
-        hb_testbed::layout::Fig6Layout::paper()
-            .location(1)
-            .placement("attacker"),
-    );
-    let mut scenario = builder.build();
-    let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), atk_ant);
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    let block_len = scenario.medium.config().block_len as u64;
-    let start = scenario.medium.tick() + scenario.medium.blocks_for_duration(0.110) * block_len;
-    let mut p = TherapyParams::nominal();
-    p.rate_ppm = 150;
-    attacker.send_forged_command(start, channel, serial, Command::SetTherapy(p));
-    run_exchange(
-        &mut scenario,
-        &mut [&mut attacker as &mut dyn Node],
-        driver.as_mut(),
-        Command::Interrogate,
-        0.180,
-    )
-    .unwrap();
-    scenario.imd.stats.therapy_changes > 0
+    trial(Adversary::Forger, defense, seed).attack.0 > 0
 }
 
-/// One 16-command drain burst against a defended exchange (matching the
-/// defense-matrix drain row). Returns the implant's radio energy in mJ.
+/// One 16-command drain burst against a defended exchange: the
+/// defense-matrix drain row. Returns the implant's radio energy in mJ.
 fn drain_energy_mj(defense: &dyn Defense, seed: u64) -> f64 {
-    let cfg = defended_config(defense, seed);
-    let mut builder = ScenarioBuilder::new(cfg);
-    let mut driver = defense.install(&mut builder);
-    let atk_ant = builder.add_at(
-        hb_testbed::layout::Fig6Layout::paper()
-            .location(1)
-            .placement("drainer"),
-    );
-    let mut scenario = builder.build();
-    let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), atk_ant);
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    let block_len = scenario.medium.config().block_len as u64;
-    let spacing = scenario.medium.blocks_for_duration(0.060) * block_len;
-    let start = scenario.medium.tick() + scenario.medium.blocks_for_duration(0.110) * block_len;
-    for i in 0..16 {
-        attacker.send_forged_command(start + i * spacing, channel, serial, Command::Interrogate);
-    }
-    run_exchange(
-        &mut scenario,
-        &mut [&mut attacker as &mut dyn Node],
-        driver.as_mut(),
-        Command::Interrogate,
-        0.110 + 16.0 * 0.060 + 0.080,
-    )
-    .unwrap();
-    scenario.imd.battery().radio_energy_j() * 1e3
+    trial(Adversary::Drain, defense, seed).energy_mj
 }
 
 #[test]

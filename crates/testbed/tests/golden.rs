@@ -38,12 +38,15 @@
 use hb_adversary::active::AttackerConfig;
 use hb_channel::geometry::Placement;
 use hb_channel::medium::{Medium, MediumConfig};
+use hb_dsp::checksum::fnv1a64;
 use hb_dsp::complex::C64;
 use hb_imd::arq::ArqConfig;
 use hb_imd::commands::Command;
+use hb_testbed::attack::AttackGoal;
 use hb_testbed::defense::DEFENSES;
 use hb_testbed::exchange::{run_exchange, ArqDriver};
-use hb_testbed::experiments::fig11::{success_probability, AttackGoal};
+use hb_testbed::experiments::fig11::success_probability;
+use hb_testbed::experiments::registry::{self, EvalCtx, DEFAULT_SEED};
 use hb_testbed::experiments::{fig8, fig9, resilience, Effort};
 use hb_testbed::scenario::{ScenarioBuilder, ScenarioConfig};
 
@@ -302,6 +305,28 @@ fn golden_defended_exchanges() {
     );
 }
 
+#[test]
+fn golden_attack_artifacts() {
+    // Every experiment built on the forged-command attack, at tiny effort
+    // and the default seed: the digest of the JSON artifact pins each
+    // location, arm, defense and fault cell the experiment reports.
+    let ctx = EvalCtx::new(Effort::tiny(), DEFAULT_SEED);
+    let measured: Vec<(&str, u64)> = GOLDEN_ATTACK_ARTIFACTS
+        .iter()
+        .map(|&(name, _)| {
+            let exp = registry::find(name).expect("registered experiment");
+            let artifact = registry::run_one(exp, &ctx).0;
+            (name, fnv1a64(artifact.to_json().as_bytes()))
+        })
+        .collect();
+    assert_pinned(
+        "GOLDEN_ATTACK_ARTIFACTS",
+        "[(&str, u64); 10]",
+        measured.as_slice(),
+        GOLDEN_ATTACK_ARTIFACTS.as_slice(),
+    );
+}
+
 // --- Golden values, captured with HB_BLESS=1 on the keyed-noise engine
 // (per-slot noise streams, per-block shield squelch) ---
 
@@ -353,4 +378,20 @@ const GOLDEN_DEFENDED_EXCHANGES: [common::Pin; 3] = [
         36000,
         true,
     ),
+];
+
+// --- Artifact pins: FNV-1a of `to_json()` at `Effort::tiny()` and
+// `DEFAULT_SEED` for every experiment that forges commands ---
+
+const GOLDEN_ATTACK_ARTIFACTS: [(&str, u64); 10] = [
+    ("fig11", 11052476528276628273),
+    ("fig12", 8754496350963369751),
+    ("fig13", 14697535580459276412),
+    ("table1", 15731519824367622309),
+    ("battery", 7377454438839270950),
+    ("ablation-turnaround", 13600908580662842633),
+    ("mobile-adversary", 6060087943624196476),
+    ("resilience-matrix", 9859763623165011733),
+    ("defense-matrix", 16251994186595438884),
+    ("ward-hospital-floor", 17810978970688082819),
 ];

@@ -7,39 +7,34 @@
 use heartbeats::adversary::active::{ActiveAttacker, AttackerConfig};
 use heartbeats::channel::sim::Node;
 use heartbeats::imd::commands::Command;
-use heartbeats::imd::therapy::TherapyParams;
+use heartbeats::testbed::attack::{self, Attack, AttackGoal, AttackOutcome, FIRE_TICK};
 use heartbeats::testbed::scenario::{ScenarioBuilder, ScenarioConfig};
 
 fn attack(label: &str, location: usize, shield_on: bool, attacker_cfg: AttackerConfig, seed: u64) {
-    let cfg = if shield_on {
-        ScenarioConfig::paper(seed)
-    } else {
-        ScenarioConfig::paper_no_shield(seed)
+    let cfg = ScenarioConfig {
+        shield_enabled: shield_on,
+        ..ScenarioConfig::paper(seed)
     };
-    let mut builder = ScenarioBuilder::new(cfg);
-    let atk_ant = builder.add_at_location(location, "attacker");
-    let mut scenario = builder.build();
-    let mut attacker = ActiveAttacker::new(attacker_cfg, atk_ant);
+    // Try to push the patient's pacing to a dangerous-but-valid setting.
+    let goal = AttackGoal::ChangeTherapy;
+    let forgery = [(FIRE_TICK, goal.command())];
+    let scenario = Attack::new(&attacker_cfg, attack::at_location(location), &forgery, 0.09)
+        .run(ScenarioBuilder::new(cfg));
 
-    // Try to slow the patient's pacing to a dangerous-but-valid setting.
-    let mut params = TherapyParams::nominal();
-    params.rate_ppm = 150;
-    let serial = scenario.imd.config().serial;
-    let channel = scenario.channel();
-    attacker.send_forged_command(64, channel, serial, Command::SetTherapy(params));
-    scenario.run_seconds(&mut [&mut attacker as &mut dyn Node], 0.09);
-
-    let changed = scenario.imd.stats.therapy_changes > 0;
-    let (alarm, jammed) = scenario
-        .shield
-        .as_ref()
-        .map(|s| (s.stats.alarms > 0, s.stats.active_jam_events > 0))
-        .unwrap_or((false, false));
+    let outcome = AttackOutcome::of(goal, &scenario);
     println!(
         "{label:<46} therapy changed: {}{}{}",
-        if changed { "YES" } else { "no " },
-        if jammed { "  [shield jammed it]" } else { "" },
-        if alarm { "  [ALARM raised]" } else { "" },
+        if outcome.success { "YES" } else { "no " },
+        if outcome.jammed {
+            "  [shield jammed it]"
+        } else {
+            ""
+        },
+        if outcome.alarm {
+            "  [ALARM raised]"
+        } else {
+            ""
+        },
     );
 }
 

@@ -6,6 +6,7 @@ use heartbeats::adversary::eavesdropper::Eavesdropper;
 use heartbeats::channel::sim::Node;
 use heartbeats::crypto::session::SecureSession;
 use heartbeats::imd::commands::{Command, Response};
+use heartbeats::testbed::attack::{self, Attack, AttackGoal, AttackOutcome, FIRE_TICK};
 use heartbeats::testbed::experiments::relay_one_exchange;
 use heartbeats::testbed::scenario::{ScenarioBuilder, ScenarioConfig};
 
@@ -95,26 +96,16 @@ fn protection_matrix() {
     let hot = AttackerConfig::high_power_custom();
 
     let run = |loc: usize, shield: bool, cfg: &AttackerConfig, seed: u64| {
-        let scfg = if shield {
-            ScenarioConfig::paper(seed)
-        } else {
-            ScenarioConfig::paper_no_shield(seed)
+        let scfg = ScenarioConfig {
+            shield_enabled: shield,
+            ..ScenarioConfig::paper(seed)
         };
-        let mut builder = ScenarioBuilder::new(scfg);
-        let ant = builder.add_at_location(loc, "atk");
-        let mut scenario = builder.build();
-        let mut atk = ActiveAttacker::new(cfg.clone(), ant);
-        let serial = scenario.imd.config().serial;
-        let ch = scenario.channel();
-        atk.send_forged_command(64, ch, serial, Command::Interrogate);
-        scenario.run_seconds(&mut [&mut atk as &mut dyn Node], 0.09);
-        let replied = scenario.imd.stats.responses_sent > 0;
-        let alarm = scenario
-            .shield
-            .as_ref()
-            .map(|s| s.stats.alarms > 0)
-            .unwrap_or(false);
-        (replied, alarm)
+        let goal = AttackGoal::ElicitReply;
+        let forgery = [(FIRE_TICK, goal.command())];
+        let scenario = Attack::new(cfg, attack::at_location(loc), &forgery, 0.09)
+            .run(ScenarioBuilder::new(scfg));
+        let outcome = AttackOutcome::of(goal, &scenario);
+        (outcome.success, outcome.alarm)
     };
 
     // FCC power, 20 cm: works without shield, blocked with it.
@@ -170,14 +161,15 @@ fn concurrent_transmission_triggers_jamming() {
 #[test]
 fn off_session_channel_command_is_jammed() {
     use heartbeats::shield::shield::{JamReason, ShieldEventKind};
-    let mut builder = ScenarioBuilder::new(ScenarioConfig::paper(77));
-    let atk_ant = builder.add_at_location(2, "atk");
-    let mut scenario = builder.build();
-    let mut atk = ActiveAttacker::new(AttackerConfig::commercial_programmer(), atk_ant);
-    let ch = scenario.channel() + 3;
-    let serial = scenario.imd.config().serial;
-    atk.send_forged_command(64, ch, serial, Command::Interrogate);
-    scenario.run_seconds(&mut [&mut atk as &mut dyn Node], 0.05);
+    let cfg = ScenarioConfig::paper(77);
+    let ch = cfg.channel + 3;
+    let fcc = AttackerConfig::commercial_programmer();
+    let forgery = [(FIRE_TICK, Command::Interrogate)];
+    let scenario = Attack {
+        channel: Some(ch),
+        ..Attack::new(&fcc, attack::at_location(2), &forgery, 0.05)
+    }
+    .run(ScenarioBuilder::new(cfg));
 
     let shield = scenario.shield.as_ref().unwrap();
     let detected = shield
