@@ -15,7 +15,9 @@
 //!   Off the session channel a per-block squelch gates the demodulator:
 //!   [`Medium::squelch_open`] compares the block's mean power against
 //!   `squelch_dbm`, and only an open squelch reads the samples — an idle
-//!   channel costs no synthesized noise. While the noise floor times
+//!   channel costs no synthesized noise, and its [`SidMonitor`] holds no
+//!   state beyond a sample clock until a block is pushed into it
+//!   ([`SidMonitor::is_idle`]). While the noise floor times
 //!   `53 ln 2` stays under the squelch (−96.4 dBm against the default
 //!   −95 dBm), a noise-only block is closed from its keyed draws alone,
 //!   with no `ln`;
@@ -440,6 +442,12 @@ impl Shield {
     /// The full-duplex engine (for inspection in experiments).
     pub fn full_duplex(&self) -> &FullDuplex {
         &self.fd
+    }
+
+    /// The wideband monitor's Sid monitors, one per monitored channel (for
+    /// inspection: [`SidMonitor::is_idle`] tells which hold live state).
+    pub fn sid_monitors(&self) -> &[SidMonitor] {
+        &self.sid_monitors
     }
 
     /// Replaces the jamming waveform generator (ablation experiments swap

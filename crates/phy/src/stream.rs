@@ -616,8 +616,37 @@ pub struct SidDetection {
 /// the module docs for the two-stage pipeline); only the cold stage
 /// differs — a rolling RSSI window and one [`SidMatcher`] per phase
 /// instead of frame assembly.
+///
+/// # Idle and live
+///
+/// The monitor is a sample clock plus an optional live state (correlator,
+/// matchers, RSSI window). [`SidMonitor::advance_silent`] drops the live
+/// state and the next pushed block builds a fresh one, so a monitor that
+/// only ever skips silence — the shield's wideband monitor on a channel
+/// nobody transmits on — holds no per-sample state at all
+/// ([`SidMonitor::is_idle`]). A fresh live state is exactly the all-zero
+/// state the silence leaves behind, so dropping it changes no output.
 #[derive(Debug, Clone)]
 pub struct SidMonitor {
+    params: FskParams,
+    /// A freshly built matcher, cloned into every phase of a new live state.
+    matcher: SidMatcher,
+    sps: usize,
+    next_tick: u64,
+    /// Refractory: suppress duplicate detections (adjacent phases matching
+    /// the same transmission) until this tick.
+    holdoff_until: u64,
+    /// Everything that depends on the samples; `None` while idle.
+    live: Option<LiveSid>,
+    /// Per-block scratch: completed-symbol tone energies from stage (a).
+    e0: Vec<f64>,
+    e1: Vec<f64>,
+}
+
+/// The sample-dependent part of a [`SidMonitor`], built on the first block
+/// pushed after construction or a silent advance.
+#[derive(Debug, Clone)]
+struct LiveSid {
     /// Stage (a): the sliding-window tone correlator.
     corr: SlidingToneCorrelator,
     matchers: Vec<SidMatcher>,
@@ -625,45 +654,39 @@ pub struct SidMonitor {
     power_window: Vec<f64>,
     power_head: usize,
     power_sum: f64,
-    sps: usize,
-    next_tick: u64,
-    /// Refractory: suppress duplicate detections (adjacent phases matching
-    /// the same transmission) until this tick.
-    holdoff_until: u64,
-    /// True when matchers, correlator and the power window are all in
-    /// their freshly-reset state, so repeated [`SidMonitor::advance_silent`]
-    /// calls can skip the O(window) reset work.
-    in_reset_state: bool,
     /// Samples consumed since the correlator was last reset (saturating).
     since_reset: u64,
     /// True while the own correlator has seen every sample since its last
     /// reset; shared energies end that until the next reset.
     corr_current: bool,
-    /// Per-block scratch: completed-symbol tone energies from stage (a).
-    e0: Vec<f64>,
-    e1: Vec<f64>,
+}
+
+impl LiveSid {
+    fn new(params: FskParams, matcher: &SidMatcher) -> Self {
+        let sps = params.samples_per_symbol();
+        LiveSid {
+            corr: detection_correlator(params),
+            matchers: vec![matcher.clone(); sps],
+            power_window: vec![0.0; matcher.pattern_len() * sps],
+            power_head: 0,
+            power_sum: 0.0,
+            since_reset: 0,
+            corr_current: true,
+        }
+    }
 }
 
 impl SidMonitor {
     /// Creates a monitor for `sid` (bit pattern) tolerating `bthresh`
-    /// errors.
+    /// errors. It starts idle.
     pub fn new(params: FskParams, sid: Vec<u8>, bthresh: usize) -> Self {
-        let sps = params.samples_per_symbol();
-        let window_len = sid.len() * sps;
         SidMonitor {
-            corr: detection_correlator(params),
-            matchers: (0..sps)
-                .map(|_| SidMatcher::new(sid.clone(), bthresh))
-                .collect(),
-            power_window: vec![0.0; window_len],
-            power_head: 0,
-            power_sum: 0.0,
-            sps,
+            params,
+            matcher: SidMatcher::new(sid, bthresh),
+            sps: params.samples_per_symbol(),
             next_tick: 0,
             holdoff_until: 0,
-            in_reset_state: true,
-            since_reset: 0,
-            corr_current: true,
+            live: None,
             e0: Vec::new(),
             e1: Vec::new(),
         }
@@ -694,23 +717,30 @@ impl SidMonitor {
     }
 
     fn push(&mut self, samples: &[C64], shared: Option<BlockEnergies<'_>>) -> Option<SidDetection> {
-        if !samples.is_empty() {
-            self.in_reset_state = false;
+        let len = samples.len();
+        if let Some(sh) = &shared {
+            assert!(
+                sh.start_tick == self.next_tick && sh.e0.len() == len && sh.e1.len() == len,
+                "shared energies must cover this block"
+            );
         }
+        if len == 0 {
+            return None;
+        }
+        let (params, matcher) = (self.params, &self.matcher);
+        let live = self
+            .live
+            .get_or_insert_with(|| LiveSid::new(params, matcher));
+        let window = live.power_window.len();
         let mut detection = None;
 
         // Stage (a) — hot: the own correlator over the samples whose
         // energies the shared ones do not cover.
-        let len = samples.len();
         let own = match &shared {
             None => len,
             Some(sh) => {
-                assert!(
-                    sh.start_tick == self.next_tick && sh.e0.len() == len && sh.e1.len() == len,
-                    "shared energies must cover this block"
-                );
-                let settled = self.corr.memory() as u64;
-                let warmup = settled.saturating_sub(self.since_reset).min(len as u64) as usize;
+                let settled = live.corr.memory() as u64;
+                let warmup = settled.saturating_sub(live.since_reset).min(len as u64) as usize;
                 warmup.max(sh.partial)
             }
         };
@@ -719,99 +749,91 @@ impl SidMonitor {
         let base0 = (self.next_tick % self.sps as u64) as usize;
         if own > 0 {
             assert!(
-                self.corr_current,
+                live.corr_current,
                 "own correlator needed after shared energies without a reset"
             );
-            self.corr
+            live.corr
                 .process_block(&samples[..own], base0, &mut self.e0, &mut self.e1);
         }
         if let Some(sh) = shared.filter(|_| own < len) {
             self.e0.extend_from_slice(&sh.e0[own..]);
             self.e1.extend_from_slice(&sh.e1[own..]);
-            self.corr_current = false;
+            live.corr_current = false;
         }
-        self.since_reset = self.since_reset.saturating_add(len as u64);
+        live.since_reset = live.since_reset.saturating_add(len as u64);
 
         // Stage (b) — cold: rolling RSSI + per-phase Sid matching.
-        let e0s = std::mem::take(&mut self.e0);
-        let e1s = std::mem::take(&mut self.e1);
-        let window = self.power_window.len();
         let mut phase = base0;
-        for ((&s, &e0), &e1) in samples.iter().zip(e0s.iter()).zip(e1s.iter()) {
+        for ((&s, &e0), &e1) in samples.iter().zip(self.e0.iter()).zip(self.e1.iter()) {
             let tick = self.next_tick;
             self.next_tick += 1;
 
             // Rolling power over the Sid window.
             let p = s.norm_sq();
-            self.power_sum += p - self.power_window[self.power_head];
-            self.power_window[self.power_head] = p;
-            self.power_head = if self.power_head + 1 == window {
+            live.power_sum += p - live.power_window[live.power_head];
+            live.power_window[live.power_head] = p;
+            live.power_head = if live.power_head + 1 == window {
                 0
             } else {
-                self.power_head + 1
+                live.power_head + 1
             };
             // Same recovery as `PhaseState::push_margin`: only a
             // non-finite sample gets here.
-            if !self.power_sum.is_finite() {
-                self.power_sum = self.power_window.iter().sum();
+            if !live.power_sum.is_finite() {
+                live.power_sum = live.power_window.iter().sum();
             }
 
             phase = if phase + 1 == self.sps { 0 } else { phase + 1 };
             let bit = u8::from(e1 > e0);
-            if self.matchers[phase].push(bit) && detection.is_none() && tick >= self.holdoff_until {
+            if live.matchers[phase].push(bit) && detection.is_none() && tick >= self.holdoff_until {
                 detection = Some(SidDetection {
                     tick,
-                    distance: self.matchers[phase].current_distance(),
-                    mean_power: self.power_sum / window as f64,
+                    distance: live.matchers[phase].current_distance(),
+                    mean_power: live.power_sum / window as f64,
                 });
                 // Hold off for half a Sid so sibling phases don't
                 // re-report the same transmission.
                 self.holdoff_until = tick + (window / 2) as u64;
             }
         }
-        self.e0 = e0s;
-        self.e1 = e1s;
         detection
     }
 
-    /// Resets matchers (e.g. after the shield finishes jamming a signal).
+    /// Restarts Sid matching (e.g. after the shield finishes jamming a
+    /// signal): the matchers and the correlator forget every sample, but
+    /// the RSSI window keeps the last Sid length of samples, so a Sid that
+    /// completes within one window of the reset still reports their power.
+    /// An idle monitor is already in that state.
     pub fn reset(&mut self) {
-        for m in self.matchers.iter_mut() {
-            m.reset();
+        if let Some(live) = &mut self.live {
+            for m in live.matchers.iter_mut() {
+                m.reset();
+            }
+            live.corr.reset();
+            live.since_reset = 0;
+            live.corr_current = true;
         }
-        self.corr.reset();
-        self.since_reset = 0;
-        self.corr_current = true;
-        // The power window is *not* cleared here, so the next silent
-        // advance still has zeroing to do.
-        self.in_reset_state = false;
     }
 
     /// Skips `n` samples of known silence without demodulating them
     /// (squelch: the shield's wideband monitor only pays for channels with
-    /// energy on them). Equivalent to pushing `n` zero samples, except the
-    /// matcher state is reset rather than fed noise bits.
-    ///
-    /// Consecutive silent advances are O(1): after the first call the
-    /// monitor is already in the reset state, so only the sample clock
-    /// moves. This matters — an idle wideband monitor calls this for every
-    /// quiet channel every block, which made the reset loop the hottest
-    /// code in the whole simulator before the flag was added.
+    /// energy on them). A positive `n` moves the clock and drops the live
+    /// state, so the monitor becomes idle: matching restarts and the RSSI
+    /// window reads as zeros, as after a long silence. The hold-off stays
+    /// on the clock. O(1); `n == 0` changes nothing.
     pub fn advance_silent(&mut self, n: u64) {
         if n == 0 {
             return;
         }
         self.next_tick += n;
-        if self.in_reset_state {
-            return;
-        }
-        self.reset();
-        for p in self.power_window.iter_mut() {
-            *p = 0.0;
-        }
-        self.power_sum = 0.0;
-        self.power_head = 0;
-        self.in_reset_state = true;
+        self.live = None;
+    }
+
+    /// True while the monitor holds no per-sample state: since its
+    /// construction or its last positive [`SidMonitor::advance_silent`], no
+    /// block was pushed.
+    pub fn is_idle(&self) -> bool {
+        self.live.is_none()
     }
 
     /// Current absolute sample tick.
@@ -1063,7 +1085,6 @@ mod reference {
         sps: usize,
         next_tick: u64,
         holdoff_until: u64,
-        in_reset_state: bool,
     }
 
     impl RefSidMonitor {
@@ -1083,14 +1104,10 @@ mod reference {
                 sps,
                 next_tick: 0,
                 holdoff_until: 0,
-                in_reset_state: true,
             }
         }
 
         pub fn push_block(&mut self, samples: &[C64]) -> Option<SidDetection> {
-            if !samples.is_empty() {
-                self.in_reset_state = false;
-            }
             let mut detection = None;
             for &s in samples {
                 let tick = self.next_tick;
@@ -1130,7 +1147,6 @@ mod reference {
             for a in self.accum.iter_mut() {
                 *a = (C64::ZERO, C64::ZERO);
             }
-            self.in_reset_state = false;
         }
 
         pub fn advance_silent(&mut self, n: u64) {
@@ -1138,16 +1154,12 @@ mod reference {
                 return;
             }
             self.next_tick += n;
-            if self.in_reset_state {
-                return;
-            }
             self.reset();
             for p in self.power_window.iter_mut() {
                 *p = 0.0;
             }
             self.power_sum = 0.0;
             self.power_head = 0;
-            self.in_reset_state = true;
         }
 
         pub fn tick(&self) -> u64 {
@@ -1641,6 +1653,42 @@ mod tests {
     }
 
     #[test]
+    fn sid_monitor_idles_on_silence_but_not_on_reset() {
+        // A reset restarts matching but keeps the RSSI window and its
+        // running sum: the detection after it, reported power included, is
+        // bit for bit what a monitor without the reset reports. Only a
+        // silent advance drops the live state.
+        let modem = FskModem::new(params());
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut sig = white_noise(&mut rng, 2000, 0.01);
+        let reset_at = sig.len() - 500;
+        sig.extend(modem.modulate(&make_frame(vec![1]).to_bits()));
+        let mut plain = SidMonitor::new(params(), sid(), 4);
+        let mut mon = SidMonitor::new(params(), sid(), 4);
+        assert!(mon.is_idle());
+        mon.reset();
+        assert!(mon.is_idle(), "a reset builds no state");
+        assert_eq!(plain.push_block(&sig[..reset_at]), None);
+        assert_eq!(mon.push_block(&sig[..reset_at]), None);
+        assert!(!mon.is_idle());
+        mon.reset();
+        assert!(!mon.is_idle(), "a reset keeps the RSSI window");
+        let a = plain.push_block(&sig[reset_at..]).expect("Sid fires");
+        let b = mon
+            .push_block(&sig[reset_at..])
+            .expect("Sid fires after a reset");
+        assert_eq!(
+            (a.tick, a.distance, a.mean_power.to_bits()),
+            (b.tick, b.distance, b.mean_power.to_bits())
+        );
+        mon.advance_silent(0);
+        assert!(!mon.is_idle(), "an empty gap changes nothing");
+        mon.advance_silent(1);
+        assert!(mon.is_idle());
+        assert_eq!(mon.tick(), sig.len() as u64 + 1);
+    }
+
+    #[test]
     fn non_finite_samples_flush_out() {
         // NaN and ±inf samples must not panic either front end, and once
         // the re-anchor has flushed them out of the window a clean frame
@@ -1690,6 +1738,7 @@ mod tests {
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
+        use rand::Rng;
 
         /// Parameter sets with different samples-per-symbol counts.
         fn param_set(i: usize) -> FskParams {
@@ -1789,6 +1838,110 @@ mod tests {
                         old.advance_silent(silent_gap);
                         prop_assert_eq!(new.tick(), old.tick());
                     }
+                }
+            }
+
+            /// The Sid monitor, on its own sweep and on the frame
+            /// detector's shared energies, under random sequences of the
+            /// shield's operations: pushes, silent advances (a zero gap,
+            /// repeated gaps, a gap shorter than the hold-off right after
+            /// a detection, and gaps while the detector keeps hearing the
+            /// channel), jam ends (`reset`, which keeps the RSSI window)
+            /// and retunes (the detector resets too). The reported RSSI
+            /// carries the running sum's history, so it exposes any state a
+            /// reset or an idle monitor gets wrong.
+            #[test]
+            fn sid_monitor_matches_reference_under_random_ops(
+                seed in 0u64..1_000_000,
+                pset in 0usize..3,
+                noise_db in -40.0f64..6.0,
+            ) {
+                let p = param_set(pset);
+                let sps = p.samples_per_symbol();
+                let noise = hb_dsp::units::ratio_from_db(noise_db);
+                // Two frames, so a Sid can complete after a reset or a gap.
+                let mut sig = build_stream(p, seed, &[7, 7], noise, 137);
+                let frames = [137, sig.len() + 500];
+                sig.extend(build_stream(p, seed ^ 1, &[3], noise, 500));
+                // After a reset the next phase completes a symbol of one
+                // sample, whose two tone energies tie up to round-off, so
+                // the correlator and the sweep may read that bit apart
+                // (see the module docs). The matchers start empty, so the
+                // one window holding that bit has its second symbol start
+                // on the next sample; only a Sid less than half a symbol
+                // from that alignment brings it within the tolerance.
+                // Resets and gaps resuming there become pushes.
+                let clear = |at: usize| frames.iter().all(|&f| 2 * (at + 1).abs_diff(f + sps) >= sps);
+                let holdoff = (sid().len() * sps / 2) as u64;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut det = StreamingDetector::new(p, 4);
+                let mut own = SidMonitor::new(p, sid(), 4);
+                let mut shared = SidMonitor::new(p, sid(), 4);
+                let mut old = reference::RefSidMonitor::new(p, sid(), 4);
+                let mut pos = 0usize;
+                let mut fired = false;
+                while pos < sig.len() {
+                    let mut op = rng.gen_range(0..12);
+                    let gap = match rng.gen_range(0..4) {
+                        _ if fired => rng.gen_range(0..holdoff),
+                        0 => 0,
+                        1 => 1,
+                        _ => rng.gen_range(2..4000),
+                    };
+                    let repeats: u64 = rng.gen_range(1..=3);
+                    let resume = if op == 3 {
+                        (pos + (repeats * gap) as usize).min(sig.len())
+                    } else {
+                        pos
+                    };
+                    if op < 4 && !clear(resume) {
+                        op = 4;
+                    }
+                    let mut detection = None;
+                    match op {
+                        // A jam ended; on a retune the detector resets too.
+                        0 | 1 => {
+                            if op == 1 {
+                                det.reset();
+                            }
+                            own.reset();
+                            shared.reset();
+                            old.reset();
+                        }
+                        // Silence: the squelch is closed, or the shield is
+                        // transmitting (the detector hears nothing either)
+                        // or inside its passive window (the detector hears
+                        // the channel).
+                        2 | 3 => {
+                            for _ in 0..repeats {
+                                own.advance_silent(gap);
+                                shared.advance_silent(gap);
+                                old.advance_silent(gap);
+                                let end = if op == 3 { (pos + gap as usize).min(sig.len()) } else { pos };
+                                det.push_block(&sig[pos..end]);
+                                det.push_silence(gap as usize - (end - pos));
+                                pos = end;
+                            }
+                        }
+                        _ => {
+                            let n = [1usize, 16, 24, 100, 700][rng.gen_range(0..5usize)];
+                            let chunk = &sig[pos..(pos + n).min(sig.len())];
+                            pos += chunk.len();
+                            det.push_block(chunk);
+                            let a = own.push_block(chunk);
+                            let b = shared.push_block_shared(chunk, det.block_energies());
+                            detection = old.push_block(chunk);
+                            let bits = |d: Option<SidDetection>| {
+                                d.map(|d| (d.tick, d.distance, d.mean_power.to_bits()))
+                            };
+                            prop_assert_eq!(bits(a), bits(detection));
+                            prop_assert_eq!(bits(b), bits(detection));
+                        }
+                    }
+                    fired = detection.is_some();
+                    prop_assert_eq!(own.tick(), old.tick());
+                    prop_assert_eq!(shared.tick(), old.tick());
+                    prop_assert_eq!(det.tick(), old.tick());
                 }
             }
         }

@@ -268,10 +268,12 @@ proptest! {
     /// exactly what one running its own sweep detects, under the shield's
     /// interleavings: passive windows and own transmissions
     /// (`advance_silent`, with the detector pushing samples or silence),
-    /// jam ends (`reset`), and retunes (detector reset, the session role
-    /// moving to a monitor that was sweeping another channel). A loose
-    /// tolerance makes noise fire too, so the reported distances expose any
-    /// differing bit.
+    /// jam ends (`reset`), retunes (detector reset, the session role
+    /// moving to a monitor that was sweeping another channel), and silent
+    /// gaps of any length on every channel (none, repeated, shorter than
+    /// the hold-off right after a detection, after a reset or not). A
+    /// loose tolerance makes noise fire too, so the reported distances
+    /// expose any differing bit.
     #[test]
     fn shared_energy_sid_monitor_equivalence(
         seed in any::<u64>(),
@@ -313,9 +315,33 @@ proptest! {
         let mut pairs = [0, 1].map(|_| {
             (SidMonitor::new(p, sid.clone(), bthresh), SidMonitor::new(p, sid.clone(), bthresh))
         });
+        let holdoff = (sid.len() * p.samples_per_symbol() / 2) as u64;
+        let mut fired = false;
         let mut s = 0;
         for (x, y) in session.chunks(block).zip(other.chunks(block)) {
             let action = rng.gen_range(0..20);
+            if action == 5 || (fired && rng.gen_bool(0.5)) {
+                // Silence on every channel, the session one reset first
+                // or not.
+                if rng.gen_bool(0.5) {
+                    pairs[s].0.reset();
+                    pairs[s].1.reset();
+                }
+                let gap = match rng.gen_range(0..3) {
+                    _ if fired => rng.gen_range(0..holdoff),
+                    0 => 0,
+                    1 => rng.gen_range(1..48),
+                    _ => rng.gen_range(48..4000),
+                };
+                for _ in 0..rng.gen_range(1..=3) {
+                    det.push_silence(gap as usize);
+                    for (own, shared) in pairs.iter_mut() {
+                        own.advance_silent(gap);
+                        shared.advance_silent(gap);
+                    }
+                }
+            }
+            fired = false;
             if action == 0 {
                 // Retune: the detector and the old session monitor reset.
                 det.reset();
@@ -344,6 +370,7 @@ proptest! {
                     let a = own.push_block(x);
                     let b = shared.push_block_shared(x, det.block_energies());
                     prop_assert_eq!(render_sid(a), render_sid(b));
+                    fired = a.is_some();
                 }
             }
             prop_assert_eq!(own.tick(), shared.tick());

@@ -10,6 +10,7 @@
 //! while the procedure and the min/avg/σ structure reproduce).
 
 use crate::attack::{self, Attack, FIRE_TICK};
+use crate::parallel;
 use crate::report::{stat_table, Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::AttackerConfig;
@@ -62,20 +63,25 @@ pub fn attempt(tx_power_dbm: f64, seed: u64) -> Option<f64> {
 
 /// Runs the power sweep.
 pub fn run(effort: Effort, seed: u64) -> Table1Result {
-    let mut stats = RunningStats::new();
-    let mut rssi = Vec::new();
-    // Sweep from below the success threshold to well above it.
+    // Sweep from below the success threshold to well above it: every
+    // (power, rep) attempt with its seed, in sweep order.
     let reps = (effort.runs / 20).max(2);
+    let mut attempts = Vec::new();
     let mut p = -12.0;
     while p <= 14.0 {
         for r in 0..reps {
             let s = seed.wrapping_add((p * 10.0) as i64 as u64 ^ (r as u64) << 33);
-            if let Some(v) = attempt(p, s) {
-                stats.push(v);
-                rssi.push(v);
-            }
+            attempts.push((p, s));
         }
         p += 2.0;
+    }
+    let rssi: Vec<f64> = parallel::parallel_map(&attempts, |_, &(p, s)| attempt(p, s))
+        .into_iter()
+        .flatten()
+        .collect();
+    let mut stats = RunningStats::new();
+    for &v in &rssi {
+        stats.push(v);
     }
     let (min, avg, std) = if stats.count() > 0 {
         (stats.min(), stats.mean(), stats.std_dev())
