@@ -1,9 +1,10 @@
 //! `perf_report` — the repo's tracked-benchmark harness.
 //!
 //! Times the canonical hot kernels (the `Medium` block step at several
-//! antenna counts, FSK modulation/demodulation, one full relayed exchange,
-//! a quick Fig. 9 run) plus the supporting micro-kernels, and prints a
-//! machine-readable JSON report to stdout (and optionally a file).
+//! antenna counts, a hospital-floor build, FSK modulation/demodulation,
+//! one full relayed exchange, a quick Fig. 9 run) plus the supporting
+//! micro-kernels, and prints a machine-readable JSON report to stdout
+//! (and optionally a file).
 //!
 //! Usage:
 //!
@@ -30,7 +31,7 @@ use hb_phy::stream::StreamingDetector;
 use hb_shield::jamsignal::JamSignal;
 use hb_shield::shield::{Shield, ShieldConfig};
 use hb_testbed::exchange::{run_exchange, ArqDriver};
-use hb_testbed::experiments::{fig9, relay_one_exchange, Effort};
+use hb_testbed::experiments::{fig9, hospital, relay_one_exchange, Effort};
 use hb_testbed::scenario::{ScenarioBuilder, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -219,6 +220,15 @@ fn main() {
         bench_medium_ward(128, 60 * scale),
         bench_medium_repeat(2_000 * scale),
     ];
+    timings.push(time_kernel(
+        "floor_build_150ant",
+        "build the 50-patient hospital floor (150 antennas, links drawn and culled)",
+        10 * scale,
+        || {
+            let floor = hospital::bench_floor_scenario(3);
+            std::hint::black_box(floor.medium.cull_stats().audible_pairs);
+        },
+    ));
 
     // --- Layer 2: the FSK modem ---
     let modem = FskModem::new(FskParams::mics_default());

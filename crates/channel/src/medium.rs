@@ -251,6 +251,11 @@ pub struct CullStats {
 /// culling), and the borrowing receive path ([`Medium::receive_view`])
 /// returns cache views — a block step performs **zero heap allocations**
 /// once the pools are warm.
+///
+/// The three pair matrices use a row stride of at least `n`: registering
+/// an antenna grows the stride ahead of `n` (see [`Medium::add_antenna`]),
+/// so registering `n` antennas copies O(n²) entries in total, and
+/// [`Medium::build_links`] compacts the stride back to exactly `n`.
 pub struct Medium {
     cfg: MediumConfig,
     placements: Vec<Placement>,
@@ -267,16 +272,24 @@ pub struct Medium {
     /// Armed fault-injection state; `None` whenever the configured plan
     /// cannot perturb the medium.
     fault: Option<FaultState>,
-    /// Directed link gains, dense row-major: `gains[tx * n + rx]` is the
-    /// gain from `tx`'s transmitter to `rx`'s receiver. Reciprocal by
+    /// Row stride of the pair matrices (`≥ n`; exactly `n` after
+    /// [`Medium::build_links`]). Entries past column `n − 1` of a row, and
+    /// rows past `n − 1`, hold the defaults (zero, unset, inaudible).
+    stride: usize,
+    /// Antenna count when [`Medium::build_links`] last compacted the pair
+    /// matrices (0 before the first build): the stride grows by an eighth
+    /// of the antennas registered since.
+    compacted: usize,
+    /// Directed link gains, dense row-major: `gains[tx * stride + rx]` is
+    /// the gain from `tx`'s transmitter to `rx`'s receiver. Reciprocal by
     /// construction unless overridden.
     gains: Vec<C64>,
     /// Provenance of `gains[i]` (an explicit zero is remembered so
     /// [`Medium::build_links`] won't redraw it; only drawn gains are
     /// re-drawn by [`Medium::move_antenna`]).
     gain_state: Vec<GainState>,
-    /// Per-receiver neighbor rows, rx-major: `audible[rx * n + tx]` is
-    /// true iff the pair clears `rx`'s cull threshold. All-true at the
+    /// Per-receiver neighbor rows, rx-major: `audible[rx * stride + tx]`
+    /// is true iff the pair clears `rx`'s cull threshold. All-true at the
     /// default `−∞` margin. Maintained incrementally by every gain write.
     audible: Vec<bool>,
     /// Per-transmitter count of receivers that can hear it; staging skips
@@ -337,6 +350,8 @@ impl Medium {
                 .fault
                 .perturbs_medium()
                 .then(|| FaultState::new(cfg.fault, seed)),
+            stride: 0,
+            compacted: 0,
             gains: Vec::new(),
             gain_state: Vec::new(),
             audible: Vec::new(),
@@ -367,6 +382,16 @@ impl Medium {
     }
 
     /// Registers an antenna at a placement; returns its id.
+    ///
+    /// When the pair matrices are full, their stride grows by an eighth of
+    /// the antennas registered since the last [`Medium::build_links`] (at
+    /// least by one). Registering `n` antennas on a fresh medium thus
+    /// copies O(n²) entries in total instead of O(n³), while one antenna
+    /// added to a built medium (an adversary joining a floor) grows the
+    /// stride by exactly one and holds no spare rows. The small factor
+    /// bounds the growth's transient (old plus new matrix): building the
+    /// 150-antenna floor never holds more than the one-row re-layout it
+    /// replaced.
     pub fn add_antenna(&mut self, placement: Placement) -> AntennaId {
         self.placements.push(placement);
         let floor = ratio_from_db(self.cfg.noise_floor_dbm);
@@ -375,24 +400,12 @@ impl Medium {
         self.cfo_hz.push(0.0);
         self.tx_audible.push(0);
         let n = self.placements.len();
-        // Re-stride the dense matrices from (n-1)² to n². `gains` is
-        // tx-major, `audible` is rx-major (each receiver's neighbor row
-        // is contiguous).
-        let mut gains = vec![C64::ZERO; n * n];
-        let mut gain_state = vec![GainState::Unset; n * n];
-        let mut audible = vec![false; n * n];
-        for a in 0..n - 1 {
-            for b in 0..n - 1 {
-                gains[a * n + b] = self.gains[a * (n - 1) + b];
-                gain_state[a * n + b] = self.gain_state[a * (n - 1) + b];
-                audible[a * n + b] = self.audible[a * (n - 1) + b];
-            }
+        if n > self.stride {
+            self.restride(n - 1, n + (n - self.compacted) / 8);
         }
-        self.gains = gains;
-        self.gain_state = gain_state;
-        self.audible = audible;
-        // The new pairs (all-zero gains): the new receiver's row, plus the
-        // new transmitter's entry in every existing row.
+        // The new pairs (all-zero gains, already in place as defaults):
+        // the new receiver's row, plus the new transmitter's entry in
+        // every existing row.
         self.rebuild_audible_row(n - 1);
         for rx in 0..n - 1 {
             self.update_membership(n - 1, rx);
@@ -403,12 +416,29 @@ impl Medium {
         n - 1
     }
 
+    /// Moves the first `rows` rows and columns of the pair matrices to a
+    /// new row stride; every other entry of the new matrices holds its
+    /// default. `gains` is tx-major, `audible` is rx-major (each
+    /// receiver's neighbor row is contiguous).
+    fn restride(&mut self, rows: usize, stride: usize) {
+        let old = self.stride;
+        restride_matrix(&mut self.gains, old, stride, rows, C64::ZERO);
+        restride_matrix(&mut self.gain_state, old, stride, rows, GainState::Unset);
+        restride_matrix(&mut self.audible, old, stride, rows, false);
+        self.stride = stride;
+    }
+
+    /// Index of `(row, col)` in the pair matrices.
+    fn pair(&self, row: AntennaId, col: AntennaId) -> usize {
+        row * self.stride + col
+    }
+
     /// Recomputes one pair's audibility from its gain and the receiver's
     /// cull threshold, keeping the per-transmitter counts consistent.
     fn update_membership(&mut self, tx: AntennaId, rx: AntennaId) {
-        let n = self.placements.len();
-        let aud = self.gains[tx * n + rx].norm_sq() >= self.cull_threshold[rx];
-        let slot = &mut self.audible[rx * n + tx];
+        let aud = self.gains[self.pair(tx, rx)].norm_sq() >= self.cull_threshold[rx];
+        let i = self.pair(rx, tx);
+        let slot = &mut self.audible[i];
         if *slot != aud {
             *slot = aud;
             if aud {
@@ -430,11 +460,13 @@ impl Medium {
 
     /// Audibility bookkeeping counters and the current audible-pair count.
     pub fn cull_stats(&self) -> CullStats {
+        let n = self.placements.len();
         CullStats {
             rows_rebuilt: self.cull_rows_rebuilt,
             pair_updates: self.cull_pair_updates,
+            // Padding entries are always false.
             audible_pairs: self.audible.iter().filter(|&&a| a).count(),
-            total_pairs: self.audible.len(),
+            total_pairs: n * n,
         }
     }
 
@@ -443,7 +475,7 @@ impl Medium {
     pub fn pair_audible(&self, tx: AntennaId, rx: AntennaId) -> bool {
         let n = self.placements.len();
         assert!(tx < n && rx < n, "unknown antenna pair ({tx}, {rx})");
-        self.audible[rx * n + tx]
+        self.audible[self.pair(rx, tx)]
     }
 
     /// Sets an antenna's oscillator offset, Hz. Its transmissions rotate
@@ -494,13 +526,14 @@ impl Medium {
     /// device model.
     ///
     /// Call after all antennas are registered; explicit gains set *before*
-    /// this call are preserved.
+    /// this call are preserved. Compacts the pair matrices to a stride of
+    /// exactly `n`, so a built medium holds `n²` entries per matrix.
     pub fn build_links(&mut self, model: &PathlossModel, fading: Fading) {
         let n = self.placements.len();
         for a in 0..n {
             for b in (a + 1)..n {
-                if self.gain_state[a * n + b] != GainState::Unset
-                    || self.gain_state[b * n + a] != GainState::Unset
+                if self.gain_state[self.pair(a, b)] != GainState::Unset
+                    || self.gain_state[self.pair(b, a)] != GainState::Unset
                 {
                     continue;
                 }
@@ -509,6 +542,10 @@ impl Medium {
                 self.write_gain(b, a, gain, GainState::Drawn);
             }
         }
+        if self.stride != n {
+            self.restride(n, n);
+        }
+        self.compacted = n;
     }
 
     /// Draws one shadowed, faded link gain between two placements.
@@ -528,9 +565,9 @@ impl Medium {
     /// Writes one directed gain with its provenance and updates the pair's
     /// audibility.
     fn write_gain(&mut self, tx: AntennaId, rx: AntennaId, gain: C64, state: GainState) {
-        let n = self.placements.len();
-        self.gains[tx * n + rx] = gain;
-        self.gain_state[tx * n + rx] = state;
+        let i = self.pair(tx, rx);
+        self.gains[i] = gain;
+        self.gain_state[i] = state;
         self.update_membership(tx, rx);
         self.cull_pair_updates += 1;
     }
@@ -566,8 +603,8 @@ impl Medium {
             if b == a {
                 continue;
             }
-            let ab = self.gain_state[a * n + b] == GainState::Drawn;
-            let ba = self.gain_state[b * n + a] == GainState::Drawn;
+            let ab = self.gain_state[self.pair(a, b)] == GainState::Drawn;
+            let ba = self.gain_state[self.pair(b, a)] == GainState::Drawn;
             if !(ab || ba) {
                 continue;
             }
@@ -585,7 +622,7 @@ impl Medium {
     pub fn gain(&self, tx: AntennaId, rx: AntennaId) -> C64 {
         let n = self.placements.len();
         assert!(tx < n && rx < n, "unknown antenna pair ({tx}, {rx})");
-        self.gains[tx * n + rx]
+        self.gains[self.pair(tx, rx)]
     }
 
     /// Current block index.
@@ -683,7 +720,7 @@ impl Medium {
         );
         assert!(rx < self.placements.len(), "unknown antenna {rx}");
         self.receiving = true;
-        let n = self.placements.len();
+        let (n, stride) = (self.placements.len(), self.stride);
         let block_len = self.cfg.block_len;
         let slot_idx = rx * self.cfg.n_channels + channel;
         if self.rx_slots[slot_idx].valid {
@@ -722,7 +759,7 @@ impl Medium {
             _ => 1.0,
         };
         let block_start = self.block_index * block_len as u64;
-        let audible = &self.audible[rx * n..(rx + 1) * n];
+        let audible = &self.audible[rx * stride..rx * stride + n];
         for &staged_idx in &self.staged_by_channel[channel] {
             let tx = &self.staged[staged_idx as usize];
             // Sparse skip: the pair is below the receiver's cull
@@ -731,7 +768,7 @@ impl Medium {
             if !audible[tx.tx] {
                 continue;
             }
-            let g = self.gains[tx.tx * n + rx];
+            let g = self.gains[tx.tx * stride + rx];
             if g == C64::ZERO {
                 continue;
             }
@@ -856,11 +893,11 @@ impl Medium {
     /// pair is audible and its gain is non-zero (the mixture loop's skip
     /// conditions, negated).
     fn signal_audible(&self, rx: AntennaId, channel: usize) -> bool {
-        let n = self.placements.len();
-        let audible = &self.audible[rx * n..(rx + 1) * n];
+        let (n, stride) = (self.placements.len(), self.stride);
+        let audible = &self.audible[rx * stride..rx * stride + n];
         self.staged_by_channel[channel].iter().any(|&i| {
             let tx = self.staged[i as usize].tx;
-            audible[tx] && self.gains[tx * n + rx] != C64::ZERO
+            audible[tx] && self.gains[tx * stride + rx] != C64::ZERO
         })
     }
 
@@ -962,6 +999,34 @@ fn noise_key(seed: u64, rx: u64, channel: u64, block: u64) -> u64 {
     }
     let z = mix(seed ^ 0x6E01_5E5E_ED00_0001);
     mix(mix(mix(z ^ rx) ^ channel) ^ block)
+}
+
+/// Re-lays a square matrix stored with row stride `old` at row stride
+/// `stride`, keeping its first `rows` rows and columns; the buffer ends
+/// with exactly `stride²` entries.
+///
+/// Growing (`rows ≤ old < stride`) copies into a fresh matrix whose other
+/// entries are `fill`. Growing the old block in place instead (a heap
+/// `realloc`) fragmented glibc's arena and raised hbbench
+/// `hospital-floor`'s peak RSS by about 0.75 MiB; fresh blocks, like the
+/// per-call matrices before them, did not. Compacting (`rows == stride <
+/// old`) moves rows first to last, so no row is overwritten before it has
+/// moved, and shrinks the block in place.
+fn restride_matrix<T: Copy>(m: &mut Vec<T>, old: usize, stride: usize, rows: usize, fill: T) {
+    if stride > old {
+        let mut grown = vec![fill; stride * stride];
+        for r in 0..rows {
+            grown[r * stride..r * stride + rows].copy_from_slice(&m[r * old..r * old + rows]);
+        }
+        *m = grown;
+    } else {
+        debug_assert_eq!(rows, stride, "compaction keeps every row");
+        for r in 0..rows {
+            m.copy_within(r * old..r * old + rows, r * stride);
+        }
+        m.truncate(stride * stride);
+        m.shrink_to_fit();
+    }
 }
 
 /// Accumulates one surviving pair into the mixture: `dst[i] += src[i]·g`.
@@ -1377,6 +1442,41 @@ mod tests {
         assert_eq!(m.gain(b, c), g_bc);
         assert_ne!(m.gain(a, c), g_ac, "drawn link must redraw on move");
         assert_eq!(m.gain(a, c), m.gain(c, a), "redraw stays reciprocal");
+    }
+
+    /// The three pair matrices hold exactly `n × n` entries, with no
+    /// spare capacity, at row stride `n`.
+    fn assert_compact(m: &Medium) {
+        let n = m.antenna_count();
+        assert_eq!(m.stride, n);
+        assert_eq!((m.gains.len(), m.gains.capacity()), (n * n, n * n));
+        assert_eq!(
+            (m.gain_state.len(), m.gain_state.capacity()),
+            (n * n, n * n)
+        );
+        assert_eq!((m.audible.len(), m.audible.capacity()), (n * n, n * n));
+    }
+
+    #[test]
+    fn build_links_leaves_exactly_n_squared_storage() {
+        let model = PathlossModel::mics_indoor();
+        let mut m = culling_medium();
+        for i in 0..40 {
+            m.add_antenna(Placement::los("x", i as f64, 0.0));
+        }
+        assert!(m.stride > 40, "registration grows the stride ahead of n");
+        m.build_links(&model, Fading::Rayleigh);
+        assert_compact(&m);
+        // An antenna joining a built medium (an adversary at a bedside)
+        // grows the stride by one; building again compacts it.
+        let gains: Vec<C64> = (0..40).map(|rx| m.gain(3, rx)).collect();
+        let adversary = m.add_antenna(Placement::los("adversary", 0.3, 0.5));
+        assert_eq!(m.stride, 41);
+        m.build_links(&model, Fading::Rayleigh);
+        assert_compact(&m);
+        assert_eq!((0..40).map(|rx| m.gain(3, rx)).collect::<Vec<_>>(), gains);
+        assert_ne!(m.gain(adversary, 3), C64::ZERO);
+        assert_eq!(m.gain(adversary, 3), m.gain(3, adversary));
     }
 
     #[test]

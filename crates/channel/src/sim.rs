@@ -10,9 +10,9 @@
 //! 2. **consume** — every node receives the mixed waveform and updates its
 //!    state machine, to act on it in the *next* block.
 //!
-//! Concrete experiment harnesses in `hb-testbed` mostly drive their typed
-//! devices directly with this same two-phase pattern; the [`Node`] trait
-//! and [`run_blocks`] helper serve examples and generic scenarios.
+//! The block loops live with the scenarios that own the devices
+//! (`Scenario::run_blocks` and `run_exchange` in `hb-testbed`); this
+//! module defines the [`Node`] trait they poll.
 
 use crate::medium::Medium;
 
@@ -26,25 +26,6 @@ pub trait Node {
 
     /// Phase 2: receive this block's mixed waveform and update state.
     fn consume(&mut self, medium: &mut Medium);
-}
-
-/// Runs `n_blocks` blocks of the two-phase loop over `nodes`.
-pub fn run_blocks(medium: &mut Medium, nodes: &mut [&mut dyn Node], n_blocks: u64) {
-    for _ in 0..n_blocks {
-        for node in nodes.iter_mut() {
-            node.produce(medium);
-        }
-        for node in nodes.iter_mut() {
-            node.consume(medium);
-        }
-        medium.end_block();
-    }
-}
-
-/// Runs the loop for at least `seconds` of simulated time.
-pub fn run_seconds(medium: &mut Medium, nodes: &mut [&mut dyn Node], seconds: f64) {
-    let blocks = medium.blocks_for_duration(seconds);
-    run_blocks(medium, nodes, blocks);
 }
 
 #[cfg(test)]
@@ -116,32 +97,20 @@ mod tests {
             total: 0.0,
             blocks: 0,
         };
-        run_blocks(&mut medium, &mut [&mut beacon, &mut meter], 20);
+        for _ in 0..20 {
+            for node in [&mut beacon as &mut dyn Node, &mut meter] {
+                node.produce(&mut medium);
+            }
+            for node in [&mut beacon as &mut dyn Node, &mut meter] {
+                node.consume(&mut medium);
+            }
+            medium.end_block();
+        }
 
         assert_eq!(beacon.produced, 10);
         assert_eq!(meter.blocks, 20);
         // 10 blocks at |0.5|^2 = 0.25, 10 silent blocks.
         assert!((meter.total - 2.5).abs() < 1e-9, "total {}", meter.total);
         assert_eq!(medium.block_index(), 20);
-    }
-
-    #[test]
-    fn run_seconds_rounds_up() {
-        let mut medium = Medium::new(
-            MediumConfig {
-                noise_floor_dbm: -200.0,
-                ..Default::default()
-            },
-            2,
-        );
-        let a = medium.add_antenna(Placement::los("rx", 0.0, 0.0));
-        let mut meter = PowerMeter {
-            antenna: a,
-            total: 0.0,
-            blocks: 0,
-        };
-        // 1 ms at 300 kHz = 300 samples = 18.75 blocks -> 19.
-        run_seconds(&mut medium, &mut [&mut meter], 1e-3);
-        assert_eq!(meter.blocks, 19);
     }
 }

@@ -10,6 +10,7 @@ use hb_dsp::complex::C64;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 proptest! {
     /// Pathloss is monotone non-decreasing in distance.
@@ -608,6 +609,209 @@ proptest! {
             .fold(0.0, f64::max);
         // P(√n·D > 2.7) ≈ 2e-6 under the null.
         prop_assert!(d * count.sqrt() < 2.7, "KS statistic {d} over {count} slots");
+    }
+}
+
+proptest! {
+    /// The strided pair matrices agree with a plain `(tx, rx) → gain` map
+    /// over random sequences of registrations, explicit gains, link
+    /// builds (which compact the stride) and moves, at the −∞ and at a
+    /// finite cull margin: every gain and audibility flag, all four
+    /// `cull_stats` fields, and every receiver's view of a block in which
+    /// all antennas transmit.
+    #[test]
+    fn strided_pairs_match_a_map_reference(
+        seed in any::<u64>(),
+        finite_margin in any::<bool>(),
+        ops in prop::collection::vec(
+            (0u8..20, any::<u64>(), -160.0f64..-20.0, 0.0f64..30.0, 0.0f64..12.0),
+            1..48,
+        ),
+    ) {
+        let cfg = MediumConfig {
+            cull_margin_db: if finite_margin { 12.0 } else { f64::NEG_INFINITY },
+            ..Default::default()
+        };
+        let model = PathlossModel::mics_indoor();
+        let fading = Fading::Rayleigh;
+        let mut m = Medium::new(cfg, seed);
+        // Same seed, no gains: its views are the noise alone.
+        let mut noise = Medium::new(cfg, seed);
+        let floor = hb_dsp::units::ratio_from_db(cfg.noise_floor_dbm);
+        let mut r = RefPairs::new(seed, floor * hb_dsp::units::ratio_from_db(cfg.cull_margin_db));
+        for (kind, pick, gain_db, x, y) in ops {
+            let n = r.placements.len();
+            let (a, b) = ((pick % 64) as usize, (pick >> 32) as usize);
+            match kind {
+                0..=7 => {
+                    let p = Placement::los("ant", x, y);
+                    prop_assert_eq!(m.add_antenna(p.clone()), n);
+                    noise.add_antenna(p.clone());
+                    r.add(p);
+                }
+                8..=12 if n > 0 => {
+                    let g = C64::from_polar(hb_dsp::units::amplitude_from_db(gain_db), x);
+                    m.set_gain(a % n, b % n, g);
+                    r.set(a % n, b % n, g, Provenance::Explicit);
+                }
+                13..=15 => {
+                    m.build_links(&model, fading);
+                    r.build(&model, fading);
+                }
+                16..=19 if n > 0 => {
+                    let p = Placement::los("ant", y, x);
+                    m.move_antenna(a % n, p.clone(), &model, fading);
+                    r.move_to(a % n, p, &model, fading);
+                }
+                _ => {}
+            }
+            let n = r.placements.len();
+            let mut audible_pairs = 0;
+            for tx in 0..n {
+                for rx in 0..n {
+                    let (got, want) = (m.gain(tx, rx), r.gain(tx, rx));
+                    prop_assert!(
+                        got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
+                        "gain ({tx}, {rx}): {got:?} vs {want:?}"
+                    );
+                    prop_assert_eq!(m.pair_audible(tx, rx), r.audible(tx, rx));
+                    audible_pairs += usize::from(r.audible(tx, rx));
+                }
+            }
+            let stats = m.cull_stats();
+            prop_assert_eq!(stats.rows_rebuilt, r.rows_rebuilt);
+            prop_assert_eq!(stats.pair_updates, r.pair_updates);
+            prop_assert_eq!(stats.audible_pairs, audible_pairs);
+            prop_assert_eq!(stats.total_pairs, n * n);
+            // One block: every antenna transmits its own wave on channel 0.
+            let waves: Vec<Vec<C64>> = (0..n)
+                .map(|tx| (0..16).map(|i| C64::new(1.0 + tx as f64, 0.1 * i as f64)).collect())
+                .collect();
+            for (tx, wave) in waves.iter().enumerate() {
+                m.transmit(tx, 0, wave);
+            }
+            for rx in 0..n {
+                let mut want = noise.receive(rx, 0);
+                for (tx, wave) in waves.iter().enumerate() {
+                    let g = r.gain(tx, rx);
+                    if !r.audible(tx, rx) || g == C64::ZERO {
+                        continue;
+                    }
+                    for (v, &s) in want.iter_mut().zip(wave) {
+                        *v += s * g;
+                    }
+                }
+                let got = m.receive_view(rx, 0);
+                prop_assert!(
+                    got.iter().zip(&want).all(|(a, c)| {
+                        a.re.to_bits() == c.re.to_bits() && a.im.to_bits() == c.im.to_bits()
+                    }),
+                    "view at rx {rx} differs from the reference mixture"
+                );
+            }
+            m.end_block();
+            noise.end_block();
+        }
+    }
+}
+
+/// Provenance of a [`RefPairs`] entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Provenance {
+    Drawn,
+    Explicit,
+}
+
+/// Reference for the medium's pair bookkeeping: a `(tx, rx) → gain` map
+/// (absent means never written) and a replica of the medium's build-time
+/// stream, which `build_links` and `move_antenna` draw from in pair
+/// order.
+struct RefPairs {
+    placements: Vec<Placement>,
+    gains: HashMap<(usize, usize), (C64, Provenance)>,
+    rng: StdRng,
+    /// Cull threshold, linear gain power (every receiver has the default
+    /// floor).
+    threshold: f64,
+    rows_rebuilt: u64,
+    pair_updates: u64,
+}
+
+impl RefPairs {
+    fn new(seed: u64, threshold: f64) -> Self {
+        RefPairs {
+            placements: Vec::new(),
+            gains: HashMap::new(),
+            rng: StdRng::seed_from_u64(seed),
+            threshold,
+            rows_rebuilt: 0,
+            pair_updates: 0,
+        }
+    }
+
+    fn gain(&self, tx: usize, rx: usize) -> C64 {
+        self.gains.get(&(tx, rx)).map_or(C64::ZERO, |e| e.0)
+    }
+
+    fn provenance(&self, tx: usize, rx: usize) -> Option<Provenance> {
+        self.gains.get(&(tx, rx)).map(|e| e.1)
+    }
+
+    fn audible(&self, tx: usize, rx: usize) -> bool {
+        self.gain(tx, rx).norm_sq() >= self.threshold
+    }
+
+    /// Registration recomputes the new receiver's row.
+    fn add(&mut self, p: Placement) {
+        self.placements.push(p);
+        self.rows_rebuilt += 1;
+    }
+
+    fn set(&mut self, tx: usize, rx: usize, g: C64, provenance: Provenance) {
+        self.gains.insert((tx, rx), (g, provenance));
+        self.pair_updates += 1;
+    }
+
+    fn draw(&mut self, model: &PathlossModel, fading: Fading, a: usize, b: usize) -> C64 {
+        let loss_db =
+            model.link_loss_db_shadowed(&self.placements[a], &self.placements[b], &mut self.rng);
+        fading
+            .draw(&mut self.rng)
+            .scale(hb_dsp::units::ratio_from_db(-loss_db).sqrt())
+    }
+
+    /// Draws every pair neither of whose directions was ever written.
+    fn build(&mut self, model: &PathlossModel, fading: Fading) {
+        let n = self.placements.len();
+        for a in 0..n {
+            for b in a + 1..n {
+                if self.gains.contains_key(&(a, b)) || self.gains.contains_key(&(b, a)) {
+                    continue;
+                }
+                let g = self.draw(model, fading, a, b);
+                self.set(a, b, g, Provenance::Drawn);
+                self.set(b, a, g, Provenance::Drawn);
+            }
+        }
+    }
+
+    /// Re-draws the drawn directions of every pair touching `a`.
+    fn move_to(&mut self, a: usize, p: Placement, model: &PathlossModel, fading: Fading) {
+        self.placements[a] = p;
+        for b in 0..self.placements.len() {
+            let ab = self.provenance(a, b) == Some(Provenance::Drawn);
+            let ba = self.provenance(b, a) == Some(Provenance::Drawn);
+            if b == a || !(ab || ba) {
+                continue;
+            }
+            let g = self.draw(model, fading, a, b);
+            if ab {
+                self.set(a, b, g, Provenance::Drawn);
+            }
+            if ba {
+                self.set(b, a, g, Provenance::Drawn);
+            }
+        }
     }
 }
 

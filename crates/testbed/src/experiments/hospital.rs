@@ -27,12 +27,15 @@
 //!   serial. The shield must hold the attack off even with 49 other
 //!   shields on the air.
 //!
-//! The scenario runs strictly sequentially (no intra-experiment
-//! fan-out), so artifacts are bit-identical at any `HB_THREADS`.
+//! The monitoring arm and each attack attempt build their own floor from
+//! a seed fixed before the fan-out, and run as independent tasks of one
+//! [`parallel_map`](crate::parallel::parallel_map), so artifacts are
+//! bit-identical at any `HB_THREADS`.
 //!
 //! [`Medium`]: hb_channel::medium::Medium
 
 use crate::attack::{Attack, AttackGoal, AttackOutcome, FIRE_TICK};
+use crate::parallel;
 use crate::report::{Artifact, Series};
 use crate::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::AttackerConfig;
@@ -228,34 +231,56 @@ fn monitoring_arm(rounds: usize, seed: u64) -> (Vec<BedRow>, f64, usize) {
     (rows, audible_fraction, scenario.medium.antenna_count())
 }
 
-/// The attack arm: one fresh floor per attempt, an active attacker at
+/// One attempt of the attack arm: a fresh floor, an active attacker at
 /// the primary's bedside forging `Interrogate` at the primary's serial.
-/// Returns (successes, jammed count).
-fn attack_arm(attempts: usize, seed: u64) -> (usize, usize) {
+/// `seed` is the arm's seed; attempt `a` builds its floor from
+/// `seed + 9176·a`.
+fn attack_attempt(a: usize, seed: u64) -> AttackOutcome {
     let cfg = AttackerConfig::commercial_programmer();
     let goal = AttackGoal::ElicitReply;
     let forgery = [(FIRE_TICK, goal.command())];
-    let mut successes = 0usize;
-    let mut jammed = 0usize;
-    for a in 0..attempts {
-        let builder = floor_builder(seed.wrapping_add(a as u64 * 9176));
-        let placement = Placement::los("attacker", 0.3, 0.5);
-        let scenario = Attack::new(&cfg, placement, &forgery, 0.090).run(builder);
-        let outcome = AttackOutcome::of(goal, &scenario);
-        successes += usize::from(outcome.success);
-        jammed += usize::from(outcome.jammed);
-    }
-    (successes, jammed)
+    let builder = floor_builder(seed.wrapping_add(a as u64 * 9176));
+    let placement = Placement::los("attacker", 0.3, 0.5);
+    let scenario = Attack::new(&cfg, placement, &forgery, 0.090).run(builder);
+    AttackOutcome::of(goal, &scenario)
+}
+
+/// What one task of [`run`]'s fan-out returns.
+enum ArmResult {
+    /// [`monitoring_arm`]'s rows, audible fraction and antenna count.
+    Monitoring(Vec<BedRow>, f64, usize),
+    /// One attack attempt.
+    Attempt(AttackOutcome),
 }
 
 /// Runs the full floor evaluation: the staggered monitoring arm over the
-/// channel-0 cohort, then the bedside attack arm. Strictly sequential —
-/// bit-identical at any thread count.
+/// channel-0 cohort and the bedside attack arm's attempts, as independent
+/// tasks of one [`parallel::parallel_map`] (task 0 is the monitoring arm,
+/// task `1 + a` attempt `a`). Bit-identical at any thread count.
 pub fn run(effort: Effort, seed: u64) -> HospitalResult {
-    let (rows, audible_fraction, antennas) = monitoring_arm(effort.packets_per_location, seed);
-    let (attack_successes, attack_jammed) =
-        attack_arm(effort.attempts_per_location, seed.wrapping_add(0x0F100D));
     let attack_attempts = effort.attempts_per_location;
+    let attack_seed = seed.wrapping_add(0x0F100D);
+    let tasks: Vec<Option<usize>> = std::iter::once(None)
+        .chain((0..attack_attempts).map(Some))
+        .collect();
+    let mut results = parallel::parallel_map(&tasks, |_, task| match *task {
+        None => {
+            let (rows, audible, antennas) = monitoring_arm(effort.packets_per_location, seed);
+            ArmResult::Monitoring(rows, audible, antennas)
+        }
+        Some(a) => ArmResult::Attempt(attack_attempt(a, attack_seed)),
+    })
+    .into_iter();
+    let Some(ArmResult::Monitoring(rows, audible_fraction, antennas)) = results.next() else {
+        unreachable!("task 0 is the monitoring arm");
+    };
+    let (mut attack_successes, mut attack_jammed) = (0usize, 0usize);
+    for result in results {
+        if let ArmResult::Attempt(outcome) = result {
+            attack_successes += usize::from(outcome.success);
+            attack_jammed += usize::from(outcome.jammed);
+        }
+    }
 
     let mut artifact = Artifact::new(
         "Extension: hospital floor",
@@ -402,8 +427,15 @@ mod tests {
 
     #[test]
     fn bedside_attack_is_blocked_at_floor_scale() {
-        let (successes, jammed) = attack_arm(2, super::super::test_seed(47));
-        assert_eq!(successes, 0, "shield must block the bedside forgery");
-        assert!(jammed > 0, "shield must engage active jamming");
+        let seed = super::super::test_seed(47);
+        let outcomes: Vec<AttackOutcome> = (0..2).map(|a| attack_attempt(a, seed)).collect();
+        assert!(
+            outcomes.iter().all(|o| !o.success),
+            "shield must block the bedside forgery"
+        );
+        assert!(
+            outcomes.iter().any(|o| o.jammed),
+            "shield must engage active jamming"
+        );
     }
 }
