@@ -1,7 +1,7 @@
 //! `perf_report` — the repo's tracked-benchmark harness.
 //!
 //! Times the canonical hot kernels (the `Medium` block step at several
-//! antenna counts, a hospital-floor build, FSK modulation/demodulation,
+//! antenna counts, a hospital-floor build and its link pass, FSK modulation/demodulation,
 //! one full relayed exchange, a quick Fig. 9 run) plus the supporting
 //! micro-kernels, and prints a machine-readable JSON report to stdout
 //! (and optionally a file).
@@ -201,6 +201,41 @@ fn bench_medium_repeat(blocks: u64) -> Timing {
     )
 }
 
+/// `build_links` alone on the hospital floor's 150 placements: each
+/// iteration registers them on a fresh medium with the floor's
+/// configuration and seed, untimed, then times the link pass (all 11,175
+/// pairs drawn; the floor's wired couplings are not set). Separates the
+/// link pass from device construction in `floor_build_150ant`.
+fn bench_link_draw(iters: u64) -> Timing {
+    let floor = hospital::bench_floor_scenario(3);
+    let cfg = *floor.medium.config();
+    let placements: Vec<Placement> = (0..floor.medium.antenna_count())
+        .map(|a| floor.medium.placement(a).clone())
+        .collect();
+    let paper = ScenarioConfig::paper(3);
+    let mut seconds = 0.0;
+    for i in 0..=iters {
+        let mut m = Medium::new(cfg, 3);
+        for p in &placements {
+            m.add_antenna(p.clone());
+        }
+        let start = Instant::now();
+        m.build_links(&paper.pathloss, paper.fading);
+        // The first pass is the warm-up.
+        if i > 0 {
+            seconds += start.elapsed().as_secs_f64();
+        }
+        std::hint::black_box(m.cull_stats().audible_pairs);
+    }
+    Timing {
+        name: "link_draw_150ant",
+        iters,
+        seconds,
+        unit: "build_links on the floor's 150 registered antennas (11,175 pairs)",
+        samples: None,
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -220,6 +255,7 @@ fn main() {
         bench_medium_ward(128, 60 * scale),
         bench_medium_repeat(2_000 * scale),
     ];
+    timings.push(bench_link_draw(20 * scale));
     timings.push(time_kernel(
         "floor_build_150ant",
         "build the 50-patient hospital floor (150 antennas, links drawn and culled)",

@@ -64,12 +64,12 @@
 //! lets [`Medium::squelch_open`] close a squelch on such a slot from the
 //! same draws without even the `ln`.
 
-use crate::fading::Fading;
+use crate::fading::{Fading, MAX_FADING_UNIFORMS};
 use crate::fault::FaultPlan;
 use crate::geometry::Placement;
-use crate::pathloss::PathlossModel;
+use crate::pathloss::{LinkLoss, PathlossModel};
 use hb_dsp::complex::{mean_power, C64};
-use hb_dsp::noise::{white_noise_into, NoiseSource};
+use hb_dsp::noise::{normal_uniforms, white_noise_into, NoiseSource};
 use hb_dsp::units::ratio_from_db;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -222,6 +222,40 @@ enum GainState {
     /// Set explicitly ([`Medium::set_gain`]) — a wired coupling like the
     /// shield's self-loop. Preserved by `build_links` and `move_antenna`.
     Explicit,
+}
+
+/// Pairs one [`Medium::build_links`] chunk draws before it computes
+/// their gains (its scratch lives on the stack: 64 × 72 bytes).
+const LINK_CHUNK: usize = 64;
+
+/// The build-stream uniforms of one link draw.
+#[derive(Clone, Copy, Default)]
+struct LinkUniforms {
+    /// The shadowing normal's `u1` and `u2` ([`normal_uniforms`]).
+    shadow: [f64; 2],
+    /// The fading's ([`Fading::draw_uniforms`]; unused entries zero).
+    fade: [f64; MAX_FADING_UNIFORMS],
+}
+
+impl LinkUniforms {
+    /// Draws one link's uniforms from the build stream: the shadowing
+    /// pair, then the fading's.
+    fn draw(rng: &mut StdRng, fading: Fading) -> Self {
+        let shadow = normal_uniforms(rng);
+        let mut fade = [0.0; MAX_FADING_UNIFORMS];
+        fading.draw_uniforms(rng, &mut fade);
+        LinkUniforms { shadow, fade }
+    }
+
+    /// The link's gain: shadowed pathloss amplitude times the fading
+    /// draw. Pure, so [`Medium::build_links`] can draw a chunk's uniforms
+    /// first and transform them after.
+    fn gain(&self, loss: &LinkLoss, fading: Fading, a: &Placement, b: &Placement) -> C64 {
+        let [u1, u2] = self.shadow;
+        let loss_db = loss.shadowed_loss_db(a, b, u1, u2);
+        let amplitude = ratio_from_db(-loss_db).sqrt();
+        fading.from_uniforms(&self.fade).scale(amplitude)
+    }
 }
 
 /// Audibility bookkeeping counters — how much cull state was recomputed.
@@ -528,38 +562,74 @@ impl Medium {
     /// Call after all antennas are registered; explicit gains set *before*
     /// this call are preserved. Compacts the pair matrices to a stride of
     /// exactly `n`, so a built medium holds `n²` entries per matrix.
+    ///
+    /// Pairs `(a, b)`, `a < b`, are drawn in row-major order, each taking
+    /// its uniforms from the build stream in a fixed order: the shadowing
+    /// normal's `u1` (clamped) and `u2`, then the fading's (1 for `None`,
+    /// 4 for `Rayleigh`, 5 for `Rician`). The pass works in chunks of
+    /// `LINK_CHUNK` (64) pairs: it draws a chunk's uniforms, then turns them
+    /// into gains with the model's invariants computed once
+    /// ([`LinkLoss`]), then writes them, so the scratch is a fixed stack
+    /// array and the gains are those of a per-pair draw. Pairs among antennas present
+    /// at the previous build were all settled then (drawn, or skipped for
+    /// an explicit direction), so only pairs touching a newer antenna are
+    /// visited: building a built medium plus one antenna visits `n − 1`
+    /// pairs.
     pub fn build_links(&mut self, model: &PathlossModel, fading: Fading) {
         let n = self.placements.len();
+        let loss = LinkLoss::new(model);
+        let mut chunk = [(0, 0, LinkUniforms::default()); LINK_CHUNK];
+        let mut len = 0;
         for a in 0..n {
-            for b in (a + 1)..n {
+            for b in (a + 1).max(self.compacted)..n {
                 if self.gain_state[self.pair(a, b)] != GainState::Unset
                     || self.gain_state[self.pair(b, a)] != GainState::Unset
                 {
                     continue;
                 }
-                let gain = self.draw_link(model, fading, a, b);
-                self.write_gain(a, b, gain, GainState::Drawn);
-                self.write_gain(b, a, gain, GainState::Drawn);
+                chunk[len] = (a, b, LinkUniforms::draw(&mut self.rng, fading));
+                len += 1;
+                if len == LINK_CHUNK {
+                    self.write_links(&loss, fading, &chunk);
+                    len = 0;
+                }
             }
         }
+        self.write_links(&loss, fading, &chunk[..len]);
         if self.stride != n {
             self.restride(n, n);
         }
         self.compacted = n;
     }
 
-    /// Draws one shadowed, faded link gain between two placements.
-    fn draw_link(
+    /// The second and third steps of a [`Medium::build_links`] chunk: the
+    /// pure gain math over every drawn pair, then the reciprocal writes.
+    fn write_links(
         &mut self,
-        model: &PathlossModel,
+        loss: &LinkLoss,
         fading: Fading,
-        a: AntennaId,
-        b: AntennaId,
-    ) -> C64 {
-        let loss_db =
-            model.link_loss_db_shadowed(&self.placements[a], &self.placements[b], &mut self.rng);
-        let amplitude = ratio_from_db(-loss_db).sqrt();
-        fading.draw(&mut self.rng).scale(amplitude)
+        chunk: &[(AntennaId, AntennaId, LinkUniforms)],
+    ) {
+        let mut gains = [C64::ZERO; LINK_CHUNK];
+        for (gain, (a, b, u)) in gains.iter_mut().zip(chunk) {
+            *gain = u.gain(loss, fading, &self.placements[*a], &self.placements[*b]);
+        }
+        for (&(a, b, _), &gain) in chunk.iter().zip(&gains) {
+            self.write_gain(a, b, gain, GainState::Drawn);
+            self.write_gain(b, a, gain, GainState::Drawn);
+        }
+    }
+
+    /// Draws one shadowed, faded link gain between two placements: the
+    /// same uniforms, in the same order, and the same math as a pair of
+    /// [`Medium::build_links`].
+    fn draw_link(&mut self, loss: &LinkLoss, fading: Fading, a: AntennaId, b: AntennaId) -> C64 {
+        LinkUniforms::draw(&mut self.rng, fading).gain(
+            loss,
+            fading,
+            &self.placements[a],
+            &self.placements[b],
+        )
     }
 
     /// Writes one directed gain with its provenance and updates the pair's
@@ -599,6 +669,7 @@ impl Medium {
         let n = self.placements.len();
         assert!(a < n, "unknown antenna {a}");
         self.placements[a] = placement;
+        let loss = LinkLoss::new(model);
         for b in 0..n {
             if b == a {
                 continue;
@@ -608,7 +679,7 @@ impl Medium {
             if !(ab || ba) {
                 continue;
             }
-            let gain = self.draw_link(model, fading, a, b);
+            let gain = self.draw_link(&loss, fading, a, b);
             if ab {
                 self.write_gain(a, b, gain, GainState::Drawn);
             }

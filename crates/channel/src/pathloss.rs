@@ -17,14 +17,19 @@
 //!   per-link lognormal shadowing.
 
 use crate::geometry::Placement;
+use hb_dsp::noise::{normal_from_uniforms, normal_uniforms};
 use hb_dsp::units::{db_from_ratio, wavelength_m};
 use rand::Rng;
 
 /// Free-space pathloss in dB at distance `d_m` meters for frequency
 /// `freq_hz` (the standard Friis form, `20·log10(4πd/λ)`).
 pub fn free_space_db(d_m: f64, freq_hz: f64) -> f64 {
-    let lambda = wavelength_m(freq_hz);
-    db_from_ratio((4.0 * std::f64::consts::PI * d_m / lambda).powi(2))
+    free_space_at(d_m, wavelength_m(freq_hz))
+}
+
+/// [`free_space_db`] for a known wavelength `lambda_m`.
+fn free_space_at(d_m: f64, lambda_m: f64) -> f64 {
+    db_from_ratio((4.0 * std::f64::consts::PI * d_m / lambda_m).powi(2))
 }
 
 /// Parameters of the composite indoor MICS pathloss model.
@@ -84,41 +89,87 @@ impl PathlossModel {
     /// Median over-the-air loss in dB at distance `d_m` (no body, no
     /// shadowing, LOS).
     pub fn air_loss_db(&self, d_m: f64) -> f64 {
-        let d = d_m.max(1e-3);
-        let fs = if d <= self.breakpoint_m {
-            free_space_db(d, self.freq_hz)
-        } else {
-            free_space_db(self.breakpoint_m, self.freq_hz)
-                + 10.0 * self.far_exponent * (d / self.breakpoint_m).log10()
-        };
-        fs.max(self.min_coupling_db)
+        LinkLoss::new(self).air_loss_db(d_m)
     }
 
     /// Median total loss between two placements in dB: air loss over the
     /// distance, NLOS penalty if either endpoint lacks line of sight, and
     /// body loss for each endpoint inside tissue.
     pub fn link_loss_db(&self, a: &Placement, b: &Placement) -> f64 {
-        let mut loss = self.air_loss_db(a.position.distance(&b.position));
-        if !a.line_of_sight || !b.line_of_sight {
-            loss += self.nlos_penalty_db;
-        }
-        if a.in_body {
-            loss += self.body_loss_db;
-        }
-        if b.in_body {
-            loss += self.body_loss_db;
-        }
-        loss
+        LinkLoss::new(self).link_loss_db(a, b)
     }
 
-    /// Draws the total loss including lognormal shadowing for one link.
+    /// Draws the total loss including lognormal shadowing for one link:
+    /// the shadowing normal's [`normal_uniforms`], then
+    /// [`LinkLoss::shadowed_loss_db`].
     pub fn link_loss_db_shadowed<R: Rng + ?Sized>(
         &self,
         a: &Placement,
         b: &Placement,
         rng: &mut R,
     ) -> f64 {
-        let shadow = hb_dsp::noise::standard_normal(rng) * self.shadowing_sigma_db;
+        let [u1, u2] = normal_uniforms(rng);
+        LinkLoss::new(self).shadowed_loss_db(a, b, u1, u2)
+    }
+}
+
+/// A [`PathlossModel`] with its per-link invariants computed once: the
+/// wavelength and the free-space loss at the breakpoint. The model's own
+/// methods go through it, so a link's loss has one definition; a caller
+/// computing many links (`Medium::build_links`) builds it once per pass.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkLoss {
+    model: PathlossModel,
+    /// Carrier wavelength, m.
+    lambda_m: f64,
+    /// Free-space loss at the breakpoint, dB.
+    breakpoint_db: f64,
+}
+
+impl LinkLoss {
+    /// Precomputes `model`'s invariants.
+    pub fn new(model: &PathlossModel) -> Self {
+        let lambda_m = wavelength_m(model.freq_hz);
+        LinkLoss {
+            model: *model,
+            lambda_m,
+            breakpoint_db: free_space_at(model.breakpoint_m, lambda_m),
+        }
+    }
+
+    /// [`PathlossModel::air_loss_db`].
+    pub fn air_loss_db(&self, d_m: f64) -> f64 {
+        let m = &self.model;
+        let d = d_m.max(1e-3);
+        let fs = if d <= m.breakpoint_m {
+            free_space_at(d, self.lambda_m)
+        } else {
+            self.breakpoint_db + 10.0 * m.far_exponent * (d / m.breakpoint_m).log10()
+        };
+        fs.max(m.min_coupling_db)
+    }
+
+    /// [`PathlossModel::link_loss_db`].
+    pub fn link_loss_db(&self, a: &Placement, b: &Placement) -> f64 {
+        let m = &self.model;
+        let mut loss = self.air_loss_db(a.position.distance(&b.position));
+        if !a.line_of_sight || !b.line_of_sight {
+            loss += m.nlos_penalty_db;
+        }
+        if a.in_body {
+            loss += m.body_loss_db;
+        }
+        if b.in_body {
+            loss += m.body_loss_db;
+        }
+        loss
+    }
+
+    /// The shadowed loss of one link from its shadowing normal's two
+    /// uniforms ([`normal_uniforms`]): the pure half of
+    /// [`PathlossModel::link_loss_db_shadowed`].
+    pub fn shadowed_loss_db(&self, a: &Placement, b: &Placement, u1: f64, u2: f64) -> f64 {
+        let shadow = normal_from_uniforms(u1, u2) * self.model.shadowing_sigma_db;
         self.link_loss_db(a, b) + shadow
     }
 }

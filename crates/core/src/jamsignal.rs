@@ -7,6 +7,19 @@
 //! frequencies FSK decoding never looks at, and an adversary can strip
 //! most of it with two band-pass filters around the FSK tones; matching
 //! the IMD's spectral shape closes that hole.
+//!
+//! # What is memoized
+//!
+//! Deriving a shaped jammer costs a 4000-bit modulation, a Welch PSD,
+//! and a 256-point FFT plan with per-bin scales, and every shield on a
+//! floor needs the same one. One process-wide memo, keyed by the air
+//! interface `(fs, bitrate, deviation, fft_size)`, holds each key's
+//! jamming profile ([`jam_profile_for_fsk`]) and the immutable
+//! [`ShapedNoise`] built from it, which every [`JamSignal::shaped_for_fsk`]
+//! shares through an `Arc`. Each jammer keeps its own sample buffer and
+//! power and draws from its caller's RNG, so a shared generator emits
+//! exactly the samples a freshly built one would. Flat jammers
+//! ([`JamSignal::flat`]) are not memoized.
 
 use hb_dsp::complex::C64;
 use hb_dsp::noise::ShapedNoise;
@@ -16,6 +29,7 @@ use hb_dsp::window::Window;
 use hb_phy::bits::Prbs;
 use hb_phy::fsk::{FskModem, FskParams};
 use rand::Rng;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Derives the per-bin power profile of an FSK air interface by modulating
 /// a long pseudo-random bit sequence and measuring its Welch PSD — the
@@ -40,57 +54,72 @@ pub fn fsk_power_profile(params: FskParams, fft_size: usize) -> Vec<f64> {
 /// `smooth_profile_protects_the_shields_own_decoder` test).
 ///
 /// The profile is a pure function of `(params, fft_size)` but costs a
-/// 4000-bit modulation plus a Welch PSD to derive, and every
-/// `Shield::install` needs it — so results are memoized process-wide.
-/// Experiments that rebuild a scenario per (location, repetition) hit the
-/// cache after the first build.
+/// 4000-bit modulation plus a Welch PSD to derive, so it is memoized
+/// process-wide together with its generator (see [`JamSignal`]).
 pub fn jam_profile_for_fsk(params: FskParams, fft_size: usize) -> Vec<f64> {
-    let key: CacheKey = (
-        params.fs_hz.to_bits(),
-        params.bitrate.to_bits(),
-        params.deviation_hz.to_bits(),
-        fft_size,
-    );
-    // The lock is held across the lookup *and* the insert: dropping it in
-    // between let two threads computing the same key both push, so the
-    // process-wide cache accumulated duplicate multi-KB profiles. Serial
-    // first derivation of a key is the price, and it is paid once.
-    let mut cache = profile_cache().lock().unwrap();
-    if let Some((_, profile)) = cache.iter().find(|(k, _)| *k == key) {
-        return profile.clone();
-    }
-    let profile = jam_profile_for_fsk_uncached(params, fft_size);
-    cache.push((key, profile.clone()));
-    profile
+    with_jam_entry(params, fft_size, |e| e.profile.clone())
 }
 
 type CacheKey = (u64, u64, u64, usize);
-type ProfileCache = std::sync::Mutex<Vec<(CacheKey, Vec<f64>)>>;
 
-/// The process-wide memoized profile store behind [`jam_profile_for_fsk`].
-fn profile_cache() -> &'static ProfileCache {
-    static CACHE: std::sync::OnceLock<ProfileCache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(Vec::new()))
+/// One memoized air interface: its jamming profile and the immutable
+/// generator (FFT plan and per-bin scales) built from it.
+struct JamEntry {
+    key: CacheKey,
+    profile: Vec<f64>,
+    gen: Arc<ShapedNoise>,
 }
 
-/// Number of cache entries [`jam_profile_for_fsk`] holds for one
-/// `(params, fft_size)` key (test hook: the cache-race regression test
-/// asserts concurrent callers of a fresh key insert exactly one entry;
-/// key-scoped so unrelated tests inserting other keys in parallel cannot
-/// perturb the count).
-#[doc(hidden)]
-pub fn jam_profile_cache_entries(params: FskParams, fft_size: usize) -> usize {
-    let key: CacheKey = (
+type JamCache = Mutex<Vec<JamEntry>>;
+
+fn cache_key(params: FskParams, fft_size: usize) -> CacheKey {
+    (
         params.fs_hz.to_bits(),
         params.bitrate.to_bits(),
         params.deviation_hz.to_bits(),
         fft_size,
-    );
-    profile_cache()
+    )
+}
+
+/// The process-wide memo behind [`jam_profile_for_fsk`] and
+/// [`JamSignal::shaped_for_fsk`].
+fn jam_cache() -> &'static JamCache {
+    static CACHE: OnceLock<JamCache> = OnceLock::new();
+    CACHE.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// Applies `f` to the memo entry for `(params, fft_size)`, deriving and
+/// inserting it on first use.
+///
+/// The lock is held across the lookup *and* the insert: dropping it in
+/// between let two threads computing the same key both push, so the
+/// process-wide cache accumulated duplicate multi-KB entries. Serial
+/// first derivation of a key is the price, and it is paid once.
+fn with_jam_entry<T>(params: FskParams, fft_size: usize, f: impl FnOnce(&JamEntry) -> T) -> T {
+    let key = cache_key(params, fft_size);
+    let mut cache = jam_cache().lock().unwrap();
+    if let Some(entry) = cache.iter().find(|e| e.key == key) {
+        return f(entry);
+    }
+    let profile = jam_profile_for_fsk_uncached(params, fft_size);
+    let gen = Arc::new(ShapedNoise::new(&profile));
+    cache.push(JamEntry { key, profile, gen });
+    f(cache.last().expect("just pushed"))
+}
+
+/// Number of memo entries (each one profile and one generator) held for
+/// one `(params, fft_size)` key (test hook: the cache-race regression
+/// test asserts concurrent callers of a fresh key insert exactly one
+/// entry; key-scoped so unrelated tests inserting other keys in parallel
+/// cannot perturb the count).
+#[doc(hidden)]
+pub fn jam_profile_cache_entries(params: FskParams, fft_size: usize) -> usize {
+    let key = cache_key(params, fft_size);
+    jam_cache()
         .lock()
         .unwrap()
         .iter()
-        .filter(|(k, _)| *k == key)
+        .filter(|e| e.key == key)
         .count()
 }
 
@@ -116,9 +145,15 @@ fn jam_profile_for_fsk_uncached(params: FskParams, fft_size: usize) -> Vec<f64> 
 }
 
 /// A continuous generator of jamming waveform at a configured power.
+///
+/// The block generator is immutable and shared: every jammer shaped for
+/// one air interface holds the same memoized [`ShapedNoise`], so
+/// installing a shield builds no FFT plan and no bin scales. Each jammer
+/// keeps its own sample buffer and draws from the caller's RNG, so
+/// sharing changes no sample.
 #[derive(Debug, Clone)]
 pub struct JamSignal {
-    gen: ShapedNoise,
+    gen: Arc<ShapedNoise>,
     /// Pre-generated samples not yet consumed.
     buffer: Vec<C64>,
     buffer_pos: usize,
@@ -126,26 +161,34 @@ pub struct JamSignal {
 }
 
 impl JamSignal {
-    /// A jammer shaped to the IMD's (smoothed) FSK profile — the paper's
-    /// design, Fig. 5.
-    pub fn shaped_for_fsk(params: FskParams, fft_size: usize) -> Self {
+    /// A jammer over a block generator, at 0 dBm.
+    fn with_generator(gen: Arc<ShapedNoise>) -> Self {
         JamSignal {
-            gen: ShapedNoise::new(&jam_profile_for_fsk(params, fft_size)),
+            gen,
             buffer: Vec::new(),
             buffer_pos: 0,
             amplitude: 1.0,
         }
     }
 
+    /// A jammer shaped to the IMD's (smoothed) FSK profile — the paper's
+    /// design, Fig. 5. The generator comes from the process-wide memo
+    /// keyed by `(params, fft_size)`.
+    pub fn shaped_for_fsk(params: FskParams, fft_size: usize) -> Self {
+        Self::with_generator(with_jam_entry(params, fft_size, |e| Arc::clone(&e.gen)))
+    }
+
     /// A flat-profile jammer over the whole channel (the "constant power
     /// profile" baseline of Fig. 5, used by the ablation experiments).
     pub fn flat(fft_size: usize) -> Self {
-        JamSignal {
-            gen: ShapedNoise::flat(fft_size),
-            buffer: Vec::new(),
-            buffer_pos: 0,
-            amplitude: 1.0,
-        }
+        Self::with_generator(Arc::new(ShapedNoise::flat(fft_size)))
+    }
+
+    /// Whether two jammers share one block generator (test hook: shields
+    /// installed for one air interface must).
+    #[doc(hidden)]
+    pub fn shares_generator(&self, other: &JamSignal) -> bool {
+        Arc::ptr_eq(&self.gen, &other.gen)
     }
 
     /// Sets the transmit power in dBm (mean sample power; 1.0 ≡ 0 dBm).
@@ -191,10 +234,7 @@ impl JamSignal {
     /// The normalized per-bin power profile this jammer emits (for the
     /// Fig. 5 comparison plot).
     pub fn profile(&self) -> Vec<f64> {
-        // ShapedNoise normalizes internally; re-derive the shape from a
-        // generated block ensemble would be stochastic, so regenerate from
-        // the generator's own scaling: expose via spectral estimate.
-        // Simpler: measure empirically over many blocks with a fixed rng.
+        // The mean per-bin power share of 200 generated blocks (fixed seed).
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1A6);
         let mut acc = vec![0.0; self.gen.block_len()];
@@ -227,23 +267,64 @@ mod tests {
         // was held across lookup+insert, N threads racing on a fresh key
         // could each push their own copy of the multi-KB profile. Use a
         // parameter set no other test touches so the key is cold here.
+        // Half the threads ask for the profile and half for a jammer, so
+        // first use through either path inserts one entry, holding one
+        // profile and one generator.
         let mut p = params();
         p.deviation_hz = 41_787.0;
         assert_eq!(jam_profile_cache_entries(p, 128), 0, "key must be cold");
-        let profiles: Vec<Vec<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
+        let (profiles, jammers): (Vec<Vec<f64>>, Vec<JamSignal>) = std::thread::scope(|scope| {
+            let profiles: Vec<_> = (0..4)
                 .map(|_| scope.spawn(move || jam_profile_for_fsk(p, 128)))
                 .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+            let jammers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(move || JamSignal::shaped_for_fsk(p, 128)))
+                .collect();
+            (
+                profiles.into_iter().map(|h| h.join().unwrap()).collect(),
+                jammers.into_iter().map(|h| h.join().unwrap()).collect(),
+            )
         });
         assert_eq!(
             jam_profile_cache_entries(p, 128),
             1,
-            "8 concurrent derivations of one key must insert exactly once"
+            "8 concurrent first uses of one key must insert exactly once"
         );
         for w in profiles.windows(2) {
             assert_eq!(w[0], w[1], "all callers must see the same profile");
         }
+        for w in jammers.windows(2) {
+            assert!(
+                w[0].shares_generator(&w[1]),
+                "all jammers must share one generator"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_generator_emits_the_samples_of_a_fresh_one() {
+        let fresh = || {
+            JamSignal::with_generator(Arc::new(ShapedNoise::new(&jam_profile_for_fsk_uncached(
+                params(),
+                256,
+            ))))
+        };
+        let shared = JamSignal::shaped_for_fsk(params(), 256);
+        assert!(shared.shares_generator(&JamSignal::shaped_for_fsk(params(), 256)));
+        assert!(!shared.shares_generator(&fresh()));
+        let draw = |mut jam: JamSignal| {
+            jam.set_power_dbm(-20.0);
+            let mut rng = StdRng::seed_from_u64(11);
+            // Odd-sized pulls straddle the 256-sample block boundary.
+            let mut bits = Vec::new();
+            for n in [1usize, 300, 77, 700] {
+                for v in jam.next_samples(&mut rng, n) {
+                    bits.extend([v.re.to_bits(), v.im.to_bits()]);
+                }
+            }
+            bits
+        };
+        assert_eq!(draw(shared), draw(fresh()));
     }
 
     #[test]
@@ -316,12 +397,10 @@ mod tests {
             let rx: Vec<hb_dsp::C64> = sig.iter().zip(&j).map(|(&s, &n)| s + n).collect();
             bit_error_rate(&bits, &m.demodulate(&rx))
         };
-        let needle = JamSignal {
-            gen: hb_dsp::noise::ShapedNoise::new(&fsk_power_profile(params(), 256)),
-            buffer: Vec::new(),
-            buffer_pos: 0,
-            amplitude: 1.0,
-        };
+        let needle = JamSignal::with_generator(Arc::new(ShapedNoise::new(&fsk_power_profile(
+            params(),
+            256,
+        ))));
         let smooth = JamSignal::shaped_for_fsk(params(), 256);
         let ber_needle = ber_with(&needle, &mut rng);
         let ber_smooth = ber_with(&smooth, &mut rng);

@@ -450,6 +450,11 @@ impl Shield {
         &self.sid_monitors
     }
 
+    /// The jamming waveform generator (for inspection).
+    pub fn jammer(&self) -> &JamSignal {
+        &self.jam
+    }
+
     /// Replaces the jamming waveform generator (ablation experiments swap
     /// in a flat-profile jammer here).
     pub fn set_jammer(&mut self, jam: JamSignal) {
@@ -939,6 +944,22 @@ impl Node for Shield {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hb_channel::medium::MediumConfig;
+    use hb_phy::packet::Serial;
+
+    #[test]
+    fn shields_of_one_air_interface_share_a_jam_generator() {
+        let mut medium = Medium::new(MediumConfig::default(), 1);
+        let install = |medium: &mut Medium, serial: &str, channel, x| {
+            let cfg = ShieldConfig::paper_defaults(Serial::from_str_padded(serial), channel);
+            Shield::install(cfg, medium, (x, 0.0), 7)
+        };
+        let a = install(&mut medium, "BED01", 0, 0.0);
+        let mut b = install(&mut medium, "BED02", 3, 2.0);
+        assert!(a.jammer().shares_generator(b.jammer()));
+        b.set_jammer(JamSignal::flat(b.config().fft_size));
+        assert!(!a.jammer().shares_generator(b.jammer()));
+    }
 
     #[test]
     fn outage_schedule_windows() {

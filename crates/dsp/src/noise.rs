@@ -29,9 +29,25 @@ use std::f64::consts::PI;
 /// stream is *not* the same as [`NoiseSource`]'s paired transform; hot
 /// loops should fill buffers through [`NoiseSource`]/[`white_noise_into`]
 /// instead of calling this per sample.
+///
+/// Composed of [`normal_uniforms`] (the draw) and
+/// [`normal_from_uniforms`] (the pure transform), so a batch that draws
+/// the uniforms first and transforms them later yields the same bits.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-300); // clamp, not reject: see above
-    let u2: f64 = rng.gen();
+    let [u1, u2] = normal_uniforms(rng);
+    normal_from_uniforms(u1, u2)
+}
+
+/// The two uniforms one [`standard_normal`] draws, in draw order: `u1`
+/// (clamped to `1e-300`, not rejected: see [`standard_normal`]), then
+/// `u2`.
+pub fn normal_uniforms<R: Rng + ?Sized>(rng: &mut R) -> [f64; 2] {
+    let u1: f64 = rng.gen::<f64>().max(1e-300);
+    [u1, rng.gen()]
+}
+
+/// The Box–Muller cosine variate of two [`normal_uniforms`].
+pub fn normal_from_uniforms(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * PI * u2).cos()
 }
 
@@ -42,8 +58,19 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// fills should use [`NoiseSource`], which needs half the uniforms and
 /// batches the transcendentals.
 pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, variance: f64) -> C64 {
+    let [u1, u2] = normal_uniforms(rng);
+    let [u3, u4] = normal_uniforms(rng);
+    complex_gaussian_from_uniforms([u1, u2, u3, u4], variance)
+}
+
+/// The pure half of [`complex_gaussian`]: the real part from the first
+/// pair of [`normal_uniforms`], the imaginary part from the second.
+pub fn complex_gaussian_from_uniforms(u: [f64; 4], variance: f64) -> C64 {
     let s = (variance / 2.0).sqrt();
-    C64::new(standard_normal(rng) * s, standard_normal(rng) * s)
+    C64::new(
+        normal_from_uniforms(u[0], u[1]) * s,
+        normal_from_uniforms(u[2], u[3]) * s,
+    )
 }
 
 /// A batched generator of white circularly-symmetric complex Gaussian

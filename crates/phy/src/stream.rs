@@ -86,6 +86,14 @@
 //! its own correlator; only the first `2·sps − 1` samples after a reset
 //! of either one (the monitor's `advance_silent`/`reset`, the detector's
 //! `reset`) run the monitor's own. Both paths share one stage (b).
+//!
+//! # One matcher per detector
+//!
+//! Every phase runs the same sync pattern. [`StreamingDetector::new`]
+//! packs the 48-bit preamble + sync pattern into one [`SidMatcher`] and
+//! clones it into each of the `sps` phases, and a [`SidMonitor`] keeps
+//! its packed Sid matcher as the template its live state clones. A
+//! matcher is a few machine words with no heap, so a clone is a copy.
 
 use crate::fsk::FskParams;
 use crate::matcher::SidMatcher;
@@ -291,9 +299,8 @@ impl StreamingDetector {
         let mut pattern = Vec::with_capacity(SYNC_BITS);
         pattern.extend_from_slice(&crate::bits::bytes_to_bits(&PREAMBLE));
         pattern.extend_from_slice(&crate::bits::bytes_to_bits(&SYNC_WORD));
-        let phases = (0..sps)
-            .map(|_| PhaseState::new(SidMatcher::new(pattern.clone(), sync_errors_allowed)))
-            .collect();
+        let matcher = SidMatcher::new(pattern, sync_errors_allowed);
+        let phases = (0..sps).map(|_| PhaseState::new(matcher.clone())).collect();
         StreamingDetector {
             corr: detection_correlator(params),
             params,

@@ -8,6 +8,7 @@
 //! with and without the shield.
 
 use crate::attack::{self, Attack, FIRE_TICK};
+use crate::parallel;
 use crate::report::{Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::AttackerConfig;
@@ -62,8 +63,11 @@ fn sustained_attack(shield_on: bool, seconds: f64, seed: u64) -> (u64, f64) {
 /// Runs the quantification.
 pub fn run(effort: Effort, seed: u64) -> BatteryResult {
     let seconds = (effort.attempts_per_location as f64 * 0.12).max(0.5);
-    let (replies_absent, energy_absent) = sustained_attack(false, seconds, seed);
-    let (replies_present, _) = sustained_attack(true, seconds, seed ^ 0x77);
+    let arms = [(false, seed), (true, seed ^ 0x77)];
+    let runs = parallel::parallel_map(&arms, |_, &(shield_on, s)| {
+        sustained_attack(shield_on, seconds, s)
+    });
+    let ((replies_absent, energy_absent), (replies_present, _)) = (runs[0], runs[1]);
 
     let energy_per_reply = if replies_absent > 0 {
         energy_absent / replies_absent as f64

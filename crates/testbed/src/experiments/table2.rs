@@ -7,6 +7,7 @@
 //! after the adversary's signal ended.
 
 use crate::crosstraffic::CrossTrafficNode;
+use crate::parallel;
 use crate::report::{stat_table, Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::{ActiveAttacker, AttackerConfig};
@@ -64,62 +65,73 @@ fn overlaps(a: (Tick, Tick), b: (Tick, Tick)) -> bool {
     a.0 < b.1 && b.0 < a.1
 }
 
-/// Runs the alternating cross-traffic / attack-traffic sequence from a set
-/// of locations.
-pub fn run(effort: Effort, seed: u64) -> Table2Result {
-    let mut cross_sent = 0;
-    let mut cross_jammed = 0;
-    let mut imd_sent = 0;
-    let mut imd_jammed = 0;
-    let mut turnaround = RunningStats::new();
+/// One alternating pair from one location: whether the shield jammed the
+/// radiosonde packet and the IMD-addressed command, and its turn-around
+/// times.
+struct PairOutcome {
+    cross_jammed: bool,
+    imd_jammed: bool,
+    turnaround_s: Vec<f64>,
+}
 
+/// Sends one radiosonde packet, then one IMD-addressed command, from Fig. 6
+/// location `loc` on a scenario seeded `s`.
+fn alternating_pair(loc: usize, s: u64) -> PairOutcome {
+    let mut builder = ScenarioBuilder::new(ScenarioConfig::paper(s));
+    let node_ant = builder.add_at_location(loc, "mixed-tx");
+    let mut scenario = builder.build();
+    let channel = scenario.channel();
+    let serial = scenario.imd.config().serial;
+
+    // One radiosonde packet…
+    let mut sonde = CrossTrafficNode::new(node_ant, hb_mics::fcc_eirp_limit_dbm());
+    sonde.send_packet(64, channel, 60);
+    let sonde_end = sonde.last_end().unwrap();
+    // …then one IMD-addressed command from the same spot.
+    let mut attacker = ActiveAttacker::new(AttackerConfig::commercial_programmer(), node_ant);
+    let cmd_start = sonde_end + scenario.medium.blocks_for_duration(0.005) * 16;
+    attacker.send_forged_command(cmd_start, channel, serial, Command::Interrogate);
+    let cmd_interval = (cmd_start, attacker.last_tx_end().unwrap());
+
+    scenario.run_seconds(
+        &mut [&mut sonde as &mut dyn Node, &mut attacker as &mut dyn Node],
+        0.120,
+    );
+
+    let shield = scenario.shield.as_ref().unwrap();
+    let jams = jam_intervals(&shield.events);
+    let jammed = |interval| {
+        jams.iter()
+            .any(|&(s0, e0, ch)| ch == channel && overlaps((s0, e0), interval))
+    };
+    PairOutcome {
+        cross_jammed: jammed((64, sonde_end)),
+        imd_jammed: jammed(cmd_interval),
+        turnaround_s: shield.stats.turnaround_s.clone(),
+    }
+}
+
+/// Runs the alternating cross-traffic / attack-traffic sequence from a set
+/// of locations. The pairs run as tasks of one [`parallel::parallel_map`],
+/// each on its own pre-derived seed, and fold in sweep order.
+pub fn run(effort: Effort, seed: u64) -> Table2Result {
     let pairs = (effort.attempts_per_location / 2).max(2);
     let locations = [1usize, 4, 8, 13];
-    for (li, &loc) in locations.iter().enumerate() {
-        for p in 0..pairs {
-            let s = seed.wrapping_add((li * 1000 + p) as u64 * 7919);
-            let mut builder = ScenarioBuilder::new(ScenarioConfig::paper(s));
-            let node_ant = builder.add_at_location(loc, "mixed-tx");
-            let mut scenario = builder.build();
-            let channel = scenario.channel();
-            let serial = scenario.imd.config().serial;
+    let tasks: Vec<(usize, u64)> = locations
+        .iter()
+        .enumerate()
+        .flat_map(|(li, &loc)| {
+            (0..pairs).map(move |p| (loc, seed.wrapping_add((li * 1000 + p) as u64 * 7919)))
+        })
+        .collect();
+    let outcomes = parallel::parallel_map(&tasks, |_, &(loc, s)| alternating_pair(loc, s));
 
-            // One radiosonde packet…
-            let mut sonde = CrossTrafficNode::new(node_ant, hb_mics::fcc_eirp_limit_dbm());
-            sonde.send_packet(64, channel, 60);
-            let sonde_end = sonde.last_end().unwrap();
-            // …then one IMD-addressed command from the same spot.
-            let mut attacker =
-                ActiveAttacker::new(AttackerConfig::commercial_programmer(), node_ant);
-            let cmd_start = sonde_end + scenario.medium.blocks_for_duration(0.005) * 16;
-            attacker.send_forged_command(cmd_start, channel, serial, Command::Interrogate);
-            let cmd_interval = (cmd_start, attacker.last_tx_end().unwrap());
-
-            scenario.run_seconds(
-                &mut [&mut sonde as &mut dyn Node, &mut attacker as &mut dyn Node],
-                0.120,
-            );
-
-            let shield = scenario.shield.as_ref().unwrap();
-            let jams = jam_intervals(&shield.events);
-            cross_sent += 1;
-            if jams
-                .iter()
-                .any(|&(s0, e0, ch)| ch == channel && overlaps((s0, e0), (64, sonde_end)))
-            {
-                cross_jammed += 1;
-            }
-            imd_sent += 1;
-            if jams
-                .iter()
-                .any(|&(s0, e0, ch)| ch == channel && overlaps((s0, e0), cmd_interval))
-            {
-                imd_jammed += 1;
-            }
-            for &t in &shield.stats.turnaround_s {
-                turnaround.push(t);
-            }
-        }
+    let (cross_sent, imd_sent) = (outcomes.len(), outcomes.len());
+    let cross_jammed = outcomes.iter().filter(|o| o.cross_jammed).count();
+    let imd_jammed = outcomes.iter().filter(|o| o.imd_jammed).count();
+    let mut turnaround = RunningStats::new();
+    for &t in outcomes.iter().flat_map(|o| &o.turnaround_s) {
+        turnaround.push(t);
     }
 
     let mut artifact = Artifact::new(
