@@ -327,6 +327,28 @@ fn golden_attack_artifacts() {
     );
 }
 
+#[test]
+fn golden_eavesdrop_artifacts() {
+    // Every experiment that scores an eavesdropper (or reads the shield's
+    // jam intervals), at tiny effort and the default seed: the digest of
+    // the JSON artifact pins each margin, location, arm and bed it reports.
+    let ctx = EvalCtx::new(Effort::tiny(), DEFAULT_SEED);
+    let measured: Vec<(&str, u64)> = GOLDEN_EAVESDROP_ARTIFACTS
+        .iter()
+        .map(|&(name, _)| {
+            let exp = registry::find(name).expect("registered experiment");
+            let artifact = registry::run_one(exp, &ctx).0;
+            (name, fnv1a64(artifact.to_json().as_bytes()))
+        })
+        .collect();
+    assert_pinned(
+        "GOLDEN_EAVESDROP_ARTIFACTS",
+        "[(&str, u64); 8]",
+        measured.as_slice(),
+        GOLDEN_EAVESDROP_ARTIFACTS.as_slice(),
+    );
+}
+
 // --- Golden values, captured with HB_BLESS=1 on the keyed-noise engine
 // (per-slot noise streams, per-block shield squelch) ---
 
@@ -394,4 +416,19 @@ const GOLDEN_ATTACK_ARTIFACTS: [(&str, u64); 10] = [
     ("resilience-matrix", 9859763623165011733),
     ("defense-matrix", 16251994186595438884),
     ("ward-hospital-floor", 17810978970688082819),
+];
+
+// --- Artifact pins: FNV-1a of `to_json()` at `Effort::tiny()` and
+// `DEFAULT_SEED` for every experiment that scores an eavesdropper or reads
+// the shield's jam intervals ---
+
+const GOLDEN_EAVESDROP_ARTIFACTS: [(&str, u64); 8] = [
+    ("fig8", 13247362211363459231),
+    ("fig9", 2999650410976034812),
+    ("ablation-jam-shape", 13762740109948973361),
+    ("ablation-wearability", 6297841388234183377),
+    ("ablation-rf", 7363901856741834851),
+    ("ward-multi-imd", 11060369070122834813),
+    ("table2", 11752217645483346040),
+    ("crosstraffic", 6267554934367165755),
 ];
