@@ -26,7 +26,8 @@
 use hb_channel::medium::{AntennaId, Medium, Tick};
 use hb_channel::sim::Node;
 use hb_dsp::complex::C64;
-use hb_phy::bits::bit_error_rate;
+use hb_imd::device::TxRecord;
+use hb_phy::bits::{bit_error_rate, bit_errors};
 use hb_phy::fsk::{FskModem, FskParams};
 
 /// A passive eavesdropper that records a channel.
@@ -108,6 +109,25 @@ impl Eavesdropper {
             Some(decoded) => bit_error_rate(truth, &decoded),
             None => 0.5,
         }
+    }
+
+    /// Scores the eavesdropper's aligned decode of every transmission in
+    /// `log` against its ground-truth bits, as `(bit errors, bits)`. A
+    /// transmission whose samples are not buffered counts as guessing:
+    /// `(n + 1) / 2` errors on its `n` bits, the rounded form of
+    /// [`ber_against`](Self::ber_against)'s 0.5.
+    pub fn score(&self, log: &[TxRecord]) -> (u64, u64) {
+        let mut errors = 0u64;
+        let mut bits = 0u64;
+        for record in log {
+            let n = record.bits.len();
+            errors += match self.decode_aligned(record.start_tick, n) {
+                Some(decoded) => bit_errors(&record.bits, &decoded),
+                None => n.div_ceil(2),
+            } as u64;
+            bits += n as u64;
+        }
+        (errors, bits)
     }
 
     /// Mean received power (dBm) over a tick range, if buffered.
@@ -215,6 +235,62 @@ mod tests {
     fn missing_samples_count_as_guessing() {
         let (_, eve, _) = setup();
         assert_eq!(eve.ber_against(1000, &[0, 1, 0, 1]), 0.5);
+    }
+
+    /// The pre-`score` read-out every experiment used to repeat.
+    fn rounded_ber_sum(eve: &Eavesdropper, log: &[TxRecord]) -> (u64, u64) {
+        log.iter().fold((0, 0), |(e, b), r| {
+            let ber = eve.ber_against(r.start_tick, &r.bits);
+            let n = r.bits.len() as u64;
+            (e + (ber * n as f64).round() as u64, b + n)
+        })
+    }
+
+    #[test]
+    fn score_matches_rounded_ber_sum() {
+        let (mut medium, mut eve, tx) = setup();
+        let jammer = medium.add_antenna(Placement::los("jam", 0.1, 0.0));
+        medium.set_gain(jammer, eve.antenna(), C64::new(0.5, 0.0));
+        let modem = FskModem::new(FskParams::mics_default());
+        let mut prbs = Prbs::new(0x2B);
+        let buffered = TxRecord {
+            start_tick: 160,
+            bits: prbs.bits(200),
+            payload: Vec::new(),
+        };
+        let mut sched = TxScheduler::new();
+        sched.schedule(buffered.start_tick, 0, modem.modulate(&buffered.bits));
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..400 {
+            sched.produce(tx, &mut medium);
+            let jam = hb_dsp::noise::white_noise(&mut rng, 16, 8.0);
+            medium.transmit(jammer, 0, &jam);
+            eve.consume(&mut medium);
+            medium.end_block();
+        }
+        // Past the end of the recording: an odd-length unbuffered reply.
+        let unbuffered = TxRecord {
+            start_tick: 1_000_000,
+            bits: prbs.bits(77),
+            payload: Vec::new(),
+        };
+
+        let (errors, bits) = eve.score(std::slice::from_ref(&buffered));
+        assert!(
+            errors > 0 && errors < bits,
+            "a partly jammed decode: {errors}/{bits}"
+        );
+        for log in [
+            vec![buffered.clone()],
+            vec![unbuffered.clone()],
+            vec![buffered, unbuffered],
+            Vec::new(),
+        ] {
+            assert_eq!(eve.score(&log), rounded_ber_sum(&eve, &log));
+        }
+        assert_eq!(eve.score(&[]), (0, 0));
     }
 
     #[test]

@@ -3,19 +3,17 @@
 //! Times the canonical hot kernels (the `Medium` block step at several
 //! antenna counts, a hospital-floor build and its link pass, FSK modulation/demodulation,
 //! one full relayed exchange, a quick Fig. 9 run) plus the supporting
-//! micro-kernels, and prints a machine-readable JSON report to stdout
-//! (and optionally a file).
+//! micro-kernels, and prints a machine-readable JSON report to stdout.
 //!
 //! Usage:
 //!
 //! ```text
-//! perf_report [--quick] [--out results/BENCH_N.json]
+//! cargo run --release -p hb_bench --bin perf_report -- [--quick]
 //! ```
 //!
 //! `--quick` shrinks iteration counts so CI can smoke-test the harness in
 //! seconds; timings from a loaded CI machine are not comparable across
-//! runs, so the checked-in `results/BENCH_*.json` files are produced on a
-//! quiet machine via `scripts/bench.sh`.
+//! runs. End-to-end performance is measured by the `hbbench/` benchmark.
 
 use hb_channel::fading::Fading;
 use hb_channel::geometry::Placement;
@@ -239,11 +237,6 @@ fn bench_link_draw(iters: u64) -> Timing {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let scale: u64 = if quick { 1 } else { 10 };
 
     // --- Layer 1: the Medium block step ---
@@ -597,8 +590,4 @@ fn main() {
     json.push_str("  ]\n}\n");
 
     print!("{json}");
-    if let Some(path) = out_path {
-        std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
 }

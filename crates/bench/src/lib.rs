@@ -2,8 +2,8 @@
 //!
 //! Two binaries live under `src/bin/`:
 //!
-//! * `perf_report` — the tracked-benchmark harness behind
-//!   `scripts/bench.sh` (`results/BENCH_*.json`).
+//! * `perf_report` — the hot-kernel timing harness (JSON on stdout;
+//!   `--quick` for a smoke run).
 //! * `hb_eval` — the experiment-registry CLI: `--list`, `run <name>...`,
 //!   `--all`, with `--effort`/`--seed`/`--threads` and
 //!   `--format text|csv|json` artifacts written under `results/`.

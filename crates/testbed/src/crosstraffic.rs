@@ -22,7 +22,7 @@ use hb_channel::txsched::TxScheduler;
 use hb_dsp::units::ratio_from_db;
 use hb_phy::bits::Prbs;
 use hb_phy::gmsk::{GmskModem, GmskParams};
-use hb_shield::shield::ShieldEventKind;
+use hb_shield::shield::{ShieldEvent, ShieldEventKind};
 
 /// A radiosonde-style GMSK transmitter.
 pub struct CrossTrafficNode {
@@ -114,25 +114,37 @@ fn coexistence_once(location: usize, seed: u64) -> (bool, bool) {
         0.12,
     );
 
-    let shield = scenario.shield.as_ref().unwrap();
-    let mut jam_intervals: Vec<(Tick, Tick)> = Vec::new();
+    let jams = jam_intervals(&scenario.shield.as_ref().unwrap().events, channel);
+    let jammed = |interval| jams.iter().any(|&j| overlaps(j, interval));
+    (jammed(sonde_interval), jammed(cmd_interval))
+}
+
+/// The shield's jamming intervals `(start, end)` on `channel`, in the
+/// order its event log closes them; a jam still on when the log ends
+/// runs to `Tick::MAX`.
+pub fn jam_intervals(events: &[ShieldEvent], channel: usize) -> Vec<(Tick, Tick)> {
     let mut open: Option<Tick> = None;
-    for e in &shield.events {
+    let mut out = Vec::new();
+    for e in events {
         match e.kind {
-            ShieldEventKind::JamStart { .. } => open = open.or(Some(e.tick)),
-            ShieldEventKind::JamEnd { .. } => {
-                if let Some(s) = open.take() {
-                    jam_intervals.push((s, e.tick));
+            ShieldEventKind::JamStart { channel: ch, .. } if ch == channel => {
+                open = open.or(Some(e.tick));
+            }
+            ShieldEventKind::JamEnd { channel: ch } if ch == channel => {
+                if let Some(start) = open.take() {
+                    out.push((start, e.tick));
                 }
             }
             _ => {}
         }
     }
-    let overlaps = |a: (Tick, Tick), b: (Tick, Tick)| a.0 < b.1 && b.0 < a.1;
-    (
-        jam_intervals.iter().any(|&j| overlaps(j, sonde_interval)),
-        jam_intervals.iter().any(|&j| overlaps(j, cmd_interval)),
-    )
+    out.extend(open.map(|start| (start, Tick::MAX)));
+    out
+}
+
+/// Whether the half-open tick intervals `a` and `b` overlap.
+pub fn overlaps(a: (Tick, Tick), b: (Tick, Tick)) -> bool {
+    a.0 < b.1 && b.0 < a.1
 }
 
 /// Locations the coexistence sweep samples: adjacent to the patient,

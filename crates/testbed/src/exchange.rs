@@ -169,16 +169,30 @@ pub(crate) fn listen(
     );
 }
 
-fn shield_of(scenario: &mut Scenario) -> Result<&mut Shield, ExchangeError> {
-    scenario.shield.as_mut().ok_or(ExchangeError::NoShield)
+fn shield_of(scenario: &mut Scenario, bed: usize) -> Result<&mut Shield, ExchangeError> {
+    scenario.bed_mut(bed).1.ok_or(ExchangeError::NoShield)
 }
 
 /// The paper's relay: the command goes to the shield's queue, and every
 /// reply the shield decodes counts as delivered. Its node and hook never
 /// touch the medium.
+///
+/// [`Default`] relays through the protected patient's shield (bed 0);
+/// [`for_bed`](Self::for_bed) through any bed's (see [`Scenario::bed`]).
 #[derive(Debug, Default)]
 pub struct ShieldRelay {
+    bed: usize,
     stats: ExchangeStats,
+}
+
+impl ShieldRelay {
+    /// A relay through bed `bed`'s shield.
+    pub fn for_bed(bed: usize) -> Self {
+        ShieldRelay {
+            bed,
+            ..ShieldRelay::default()
+        }
+    }
 }
 
 impl Node for ShieldRelay {
@@ -191,13 +205,13 @@ impl Node for ShieldRelay {
 
 impl ExchangeDriver for ShieldRelay {
     fn begin(&mut self, scenario: &mut Scenario, cmd: Command) -> Result<(), ExchangeError> {
-        shield_of(scenario)?.queue_command(cmd);
+        shield_of(scenario, self.bed)?.queue_command(cmd);
         self.stats.commands_sent += 1;
         Ok(())
     }
 
     fn observe(&mut self, scenario: &mut Scenario) -> bool {
-        if let Some(shield) = scenario.shield.as_mut() {
+        if let (_, Some(shield)) = scenario.bed_mut(self.bed) {
             self.stats.replies_delivered += shield.take_responses().len() as u64;
         }
         false
@@ -288,7 +302,7 @@ impl ExchangeDriver for ArqDriver {
             MicsChannel(scenario.channel()),
         );
         let tick = scenario.medium.tick();
-        self.poll(shield_of(scenario)?, tick);
+        self.poll(shield_of(scenario, 0)?, tick);
         Ok(())
     }
 

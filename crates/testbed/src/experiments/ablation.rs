@@ -18,7 +18,7 @@ use hb_adversary::eavesdropper::Eavesdropper;
 use hb_imd::commands::Command;
 use hb_shield::jamsignal::JamSignal;
 
-use super::{relay_one_exchange, Effort};
+use super::{eavesdrop_exchanges, relay_one_exchange, Effort};
 
 /// Exchanges per adaptive trial (fresh scenario per trial — see
 /// [`super::fig8`]).
@@ -62,18 +62,8 @@ fn jam_trial(flat: bool, seed: u64) -> (u64, u64) {
             .set_jammer(JamSignal::flat(fft));
     }
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-    let mut errors = 0u64;
-    let mut total = 0u64;
-    for _ in 0..PACKETS_PER_TRIAL {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            errors += (ber * record.bits.len() as f64).round() as u64;
-            total += record.bits.len() as u64;
-        }
-        eve.clear();
-    }
-    (errors.min(total), total)
+    let tally = eavesdrop_exchanges(&mut scenario, &mut eve, 0, PACKETS_PER_TRIAL);
+    (tally.errors, tally.bits)
 }
 
 /// Runs the shaped-vs-flat ablation through the adaptive engine (both
@@ -262,24 +252,10 @@ pub fn wearability(effort: Effort, seed: u64) -> WearabilityAblation {
         let eve_ant = builder.add_at_location(1, "eve");
         let mut scenario = builder.build();
         let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-        let mut errors = 0usize;
-        let mut total = 0usize;
-        for _ in 0..effort.packets_per_location {
-            relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-            for record in scenario.imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
-            eve.clear();
-        }
+        let tally = eavesdrop_exchanges(&mut scenario, &mut eve, 0, effort.packets_per_location);
         let sent = scenario.imd.stats.responses_sent.max(1);
         let ok = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-        (
-            d,
-            1.0 - ok as f64 / sent as f64,
-            errors as f64 / total.max(1) as f64,
-        )
+        (d, 1.0 - ok as f64 / sent as f64, tally.ber())
     });
     let mut artifact = Artifact::new(
         "Ablation: wearability",
@@ -332,23 +308,10 @@ pub fn robustness(effort: Effort, seed: u64) -> RobustnessAblation {
             scenario.medium.set_impulse_noise(0.05, -95.0);
         }
         let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-        let mut errors = 0usize;
-        let mut total = 0usize;
-        for _ in 0..effort.packets_per_location {
-            relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-            for record in scenario.imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
-            eve.clear();
-        }
+        let tally = eavesdrop_exchanges(&mut scenario, &mut eve, 0, effort.packets_per_location);
         let sent = scenario.imd.stats.responses_sent.max(1);
         let ok = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-        (
-            1.0 - ok as f64 / sent as f64,
-            errors as f64 / total.max(1) as f64,
-        )
+        (1.0 - ok as f64 / sent as f64, tally.ber())
     };
     let arms = crate::parallel::parallel_map(&[false, true], |_, &impaired| {
         measure(impaired, if impaired { seed ^ 0x1CE } else { seed })

@@ -10,9 +10,8 @@ use crate::montecarlo::{self, Estimate, McConfig};
 use crate::report::{Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
 use hb_adversary::eavesdropper::Eavesdropper;
-use hb_imd::commands::Command;
 
-use super::{relay_one_exchange, Effort};
+use super::{eavesdrop_exchanges, Effort};
 
 /// Exchanges per adaptive Monte-Carlo trial task. Each trial builds a
 /// *fresh* scenario (fresh shadowing/noise draws), so trials are the
@@ -46,26 +45,10 @@ fn margin_trial(margin_db: f64, seed: u64) -> [(u64, u64); 2] {
     let eve_ant = builder.add_at_location(1, "eavesdropper");
     let mut scenario = builder.build();
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut bit_errors = 0u64;
-    let mut bits_total = 0u64;
-    let mut replies_sent = 0u64;
-    for _ in 0..PACKETS_PER_TRIAL {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            bit_errors += (ber * record.bits.len() as f64).round() as u64;
-            bits_total += record.bits.len() as u64;
-            replies_sent += 1;
-        }
-        eve.clear();
-    }
+    let tally = eavesdrop_exchanges(&mut scenario, &mut eve, 0, PACKETS_PER_TRIAL);
     let decoded = scenario.shield.as_ref().unwrap().stats.imd_frames_ok;
-    let lost = replies_sent.saturating_sub(decoded);
-    [
-        (bit_errors.min(bits_total), bits_total),
-        (lost, replies_sent),
-    ]
+    let lost = tally.replies.saturating_sub(decoded);
+    [(tally.errors, tally.bits), (lost, tally.replies)]
 }
 
 /// Runs one margin point adaptively: trials of `PACKETS_PER_TRIAL`

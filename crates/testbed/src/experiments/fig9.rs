@@ -11,9 +11,8 @@ use crate::report::{Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_dsp::stats::Cdf;
-use hb_imd::commands::Command;
 
-use super::{relay_one_exchange, Effort};
+use super::{eavesdrop_exchanges, Effort};
 
 /// Exchanges per adaptive trial (fresh scenario per trial — see
 /// [`super::fig8`]).
@@ -41,19 +40,8 @@ fn location_trial(location: usize, seed: u64) -> (u64, u64) {
     let eve_ant = builder.add_at_location(location, "eavesdropper");
     let mut scenario = builder.build();
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-
-    let mut errors = 0u64;
-    let mut total = 0u64;
-    for _ in 0..PACKETS_PER_TRIAL {
-        relay_one_exchange(&mut scenario, &mut [&mut eve], Command::Interrogate);
-        for record in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(record.start_tick, &record.bits);
-            errors += (ber * record.bits.len() as f64).round() as u64;
-            total += record.bits.len() as u64;
-        }
-        eve.clear();
-    }
-    (errors.min(total), total)
+    let tally = eavesdrop_exchanges(&mut scenario, &mut eve, 0, PACKETS_PER_TRIAL);
+    (tally.errors, tally.bits)
 }
 
 /// Adaptive BER estimate at one location: trials grow in deterministic

@@ -41,12 +41,11 @@ use crate::scenario::{Scenario, ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::AttackerConfig;
 use hb_adversary::eavesdropper::Eavesdropper;
 use hb_channel::geometry::Placement;
-use hb_imd::commands::Command;
 use hb_imd::models::ImdConfig;
 use hb_phy::packet::Serial;
 
 use super::registry::{EvalCtx, Experiment};
-use super::Effort;
+use super::{eavesdrop_exchanges, relay_per, EavesdropTally, Effort};
 
 /// Patients on the floor, primary included (2 devices each: implant +
 /// worn shield — 100 devices total).
@@ -144,15 +143,6 @@ pub struct HospitalResult {
     pub artifact: Artifact,
 }
 
-/// Packet-loss rate from (replies sent, replies decoded).
-fn per(sent: u64, ok: u64) -> f64 {
-    if sent == 0 {
-        1.0
-    } else {
-        (1.0 - ok as f64 / sent as f64).max(0.0)
-    }
-}
-
 /// The monitoring arm: `rounds` staggered interrogation rounds over the
 /// channel-0 cohort, with the eavesdropper mid-floor. Returns the rows
 /// plus the built scenario's audibility census.
@@ -161,68 +151,25 @@ fn monitoring_arm(rounds: usize, seed: u64) -> (Vec<BedRow>, f64, usize) {
     let eve_ant = builder.add_at(Placement::los("eve", 9.0, 5.0));
     let mut scenario = builder.build();
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-    let blocks = scenario.medium.blocks_for_duration(0.060);
 
-    // Channel-0 cohort: the primary (bed 0) plus beds 10/20/30/40, which
-    // sit at patients-vec indices bed−1.
+    // Channel-0 cohort: the primary (bed 0) plus beds 10/20/30/40.
     let monitored: Vec<usize> = (0..FLOOR_PATIENTS)
         .filter(|i| i % FLOOR_CHANNELS == 0)
         .collect();
-    let mut errors = vec![0usize; monitored.len()];
-    let mut totals = vec![0usize; monitored.len()];
-
+    let mut tallies = vec![EavesdropTally::default(); monitored.len()];
     for _ in 0..rounds {
-        for (slot, &bed) in monitored.iter().enumerate() {
-            if bed == 0 {
-                scenario
-                    .shield
-                    .as_mut()
-                    .unwrap()
-                    .queue_command(Command::Interrogate);
-            } else {
-                scenario.patients[bed - 1]
-                    .shield
-                    .queue_command(Command::Interrogate);
-            }
-            scenario.run_blocks(&mut [&mut eve], blocks);
-            let log = if bed == 0 {
-                scenario.imd.take_tx_log()
-            } else {
-                scenario.patients[bed - 1].imd.take_tx_log()
-            };
-            for record in log {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors[slot] += (ber * record.bits.len() as f64).round() as usize;
-                totals[slot] += record.bits.len();
-            }
-            eve.clear();
+        for (tally, &bed) in tallies.iter_mut().zip(&monitored) {
+            *tally += eavesdrop_exchanges(&mut scenario, &mut eve, bed, 1);
         }
     }
 
     let rows = monitored
         .iter()
-        .enumerate()
-        .map(|(slot, &bed)| {
-            let (sent, ok) = if bed == 0 {
-                (
-                    scenario.imd.stats.responses_sent,
-                    scenario.shield.as_ref().unwrap().stats.imd_frames_ok,
-                )
-            } else {
-                (
-                    scenario.patients[bed - 1].imd.stats.responses_sent,
-                    scenario.patients[bed - 1].shield.stats.imd_frames_ok,
-                )
-            };
-            BedRow {
-                bed,
-                per: per(sent, ok),
-                ber: if totals[slot] == 0 {
-                    0.5
-                } else {
-                    errors[slot] as f64 / totals[slot] as f64
-                },
-            }
+        .zip(&tallies)
+        .map(|(&bed, tally)| BedRow {
+            bed,
+            per: relay_per(&scenario, bed),
+            ber: tally.ber(),
         })
         .collect();
 

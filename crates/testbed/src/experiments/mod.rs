@@ -10,7 +10,16 @@
 //! the turn-around ablation — forges its commands through
 //! [`crate::attack::Attack`]; Table 2 and the cross-traffic study keep
 //! their own wiring, since their attacker shares an antenna with a
-//! cross-traffic node.
+//! cross-traffic node, and read the shield's jamming through
+//! [`crate::crosstraffic::jam_intervals`].
+//!
+//! Every passive-eavesdropper experiment — Figs. 8–9, the jam-shape,
+//! wearability and RF ablations, the ward's staggered arm and the
+//! hospital floor's monitoring arm — relays and scores through
+//! [`eavesdrop_exchanges`], which addresses any bed of the scenario
+//! ([`Scenario::bed`]) and scores with
+//! [`Eavesdropper::score`]. The defense matrix scores frame recovery
+//! instead.
 //!
 //! | Module | Reproduces |
 //! |---|---|
@@ -57,6 +66,7 @@ pub mod ward;
 
 use crate::exchange::{run_exchange, ExchangeReport, ShieldRelay};
 use crate::scenario::Scenario;
+use hb_adversary::eavesdropper::Eavesdropper;
 use hb_channel::sim::Node;
 use hb_imd::commands::Command;
 
@@ -149,6 +159,88 @@ pub fn relay_one_exchange(
     extra: &mut [&mut dyn Node],
     cmd: Command,
 ) -> ExchangeReport {
-    run_exchange(scenario, extra, &mut ShieldRelay::default(), cmd, 0.060)
-        .expect("relay_one_exchange needs a shielded scenario")
+    relay_bed_exchange(scenario, extra, 0, cmd)
+}
+
+/// [`relay_one_exchange`] through bed `bed`'s shield (see [`Scenario::bed`]).
+fn relay_bed_exchange(
+    scenario: &mut Scenario,
+    extra: &mut [&mut dyn Node],
+    bed: usize,
+    cmd: Command,
+) -> ExchangeReport {
+    run_exchange(scenario, extra, &mut ShieldRelay::for_bed(bed), cmd, 0.060)
+        .expect("a relayed exchange needs a shielded bed")
+}
+
+/// What an eavesdropper got out of a run of relayed exchanges.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EavesdropTally {
+    /// Bit errors of the eavesdropper's aligned decodes.
+    pub errors: u64,
+    /// Reply bits scored.
+    pub bits: u64,
+    /// Replies the implant sent.
+    pub replies: u64,
+}
+
+impl EavesdropTally {
+    /// The pooled bit error rate; 0.5 (guessing) when no bit was scored,
+    /// as in [`Eavesdropper::ber_against`].
+    pub fn ber(&self) -> f64 {
+        if self.bits == 0 {
+            0.5
+        } else {
+            self.errors as f64 / self.bits as f64
+        }
+    }
+}
+
+impl std::ops::AddAssign for EavesdropTally {
+    fn add_assign(&mut self, other: Self) {
+        self.errors += other.errors;
+        self.bits += other.bits;
+        self.replies += other.replies;
+    }
+}
+
+/// The confidentiality measurement (§10.2): `exchanges` `Interrogate`
+/// exchanges relayed through bed `bed`'s shield (see [`Scenario::bed`])
+/// with `eve` on the air, each scored by [`Eavesdropper::score`] against
+/// that bed's transmit log, after which the recording is cleared.
+///
+/// Panics if the bed has no shield.
+pub fn eavesdrop_exchanges(
+    scenario: &mut Scenario,
+    eve: &mut Eavesdropper,
+    bed: usize,
+    exchanges: usize,
+) -> EavesdropTally {
+    let mut tally = EavesdropTally::default();
+    for _ in 0..exchanges {
+        relay_bed_exchange(scenario, &mut [&mut *eve], bed, Command::Interrogate);
+        let log = scenario.bed_mut(bed).0.take_tx_log();
+        let (errors, bits) = eve.score(&log);
+        tally += EavesdropTally {
+            errors,
+            bits,
+            replies: log.len() as u64,
+        };
+        eve.clear();
+    }
+    tally
+}
+
+/// Bed `bed`'s relay packet loss: the share of its implant's replies
+/// that its shield did not decode. A bed whose implant never replied
+/// counts as total loss.
+pub(crate) fn relay_per(scenario: &Scenario, bed: usize) -> f64 {
+    let (imd, shield) = scenario.bed(bed);
+    let sent = imd.stats.responses_sent;
+    let ok = shield.map_or(0, |s| s.stats.imd_frames_ok);
+    if sent == 0 {
+        1.0
+    } else {
+        (1.0 - ok as f64 / sent as f64).max(0.0)
+    }
 }

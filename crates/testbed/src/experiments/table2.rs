@@ -6,16 +6,14 @@
 //! IMD-addressed packets, and took 270 ± 23 µs (software) to stop jamming
 //! after the adversary's signal ended.
 
-use crate::crosstraffic::CrossTrafficNode;
+use crate::crosstraffic::{jam_intervals, overlaps, CrossTrafficNode};
 use crate::parallel;
 use crate::report::{stat_table, Artifact, Series};
 use crate::scenario::{ScenarioBuilder, ScenarioConfig};
 use hb_adversary::active::{ActiveAttacker, AttackerConfig};
-use hb_channel::medium::Tick;
 use hb_channel::sim::Node;
 use hb_dsp::stats::RunningStats;
 use hb_imd::commands::Command;
-use hb_shield::shield::ShieldEventKind;
 
 use super::Effort;
 
@@ -36,33 +34,6 @@ pub struct Table2Result {
     pub turnaround_std_s: f64,
     /// Rendered artifact.
     pub artifact: Artifact,
-}
-
-/// Jam intervals (start, end) per channel from the shield's event log.
-fn jam_intervals(events: &[hb_shield::shield::ShieldEvent]) -> Vec<(Tick, Tick, usize)> {
-    let mut open: std::collections::HashMap<usize, Tick> = std::collections::HashMap::new();
-    let mut out = Vec::new();
-    for e in events {
-        match e.kind {
-            ShieldEventKind::JamStart { channel, .. } => {
-                open.entry(channel).or_insert(e.tick);
-            }
-            ShieldEventKind::JamEnd { channel } => {
-                if let Some(start) = open.remove(&channel) {
-                    out.push((start, e.tick, channel));
-                }
-            }
-            _ => {}
-        }
-    }
-    for (ch, start) in open {
-        out.push((start, Tick::MAX, ch));
-    }
-    out
-}
-
-fn overlaps(a: (Tick, Tick), b: (Tick, Tick)) -> bool {
-    a.0 < b.1 && b.0 < a.1
 }
 
 /// One alternating pair from one location: whether the shield jammed the
@@ -99,11 +70,8 @@ fn alternating_pair(loc: usize, s: u64) -> PairOutcome {
     );
 
     let shield = scenario.shield.as_ref().unwrap();
-    let jams = jam_intervals(&shield.events);
-    let jammed = |interval| {
-        jams.iter()
-            .any(|&(s0, e0, ch)| ch == channel && overlaps((s0, e0), interval))
-    };
+    let jams = jam_intervals(&shield.events, channel);
+    let jammed = |interval| jams.iter().any(|&j| overlaps(j, interval));
     PairOutcome {
         cross_jammed: jammed((64, sonde_end)),
         imd_jammed: jammed(cmd_interval),

@@ -23,8 +23,10 @@
 //!   BER ≈ 0.5.
 //!
 //! This module is registry-only: it composes [`ScenarioBuilder`] (with
-//! [`ScenarioBuilder::add_patient`]) and `Scenario::run_blocks` — no
-//! bespoke runner machinery.
+//! [`ScenarioBuilder::add_patient`]), the shared per-bed read-out
+//! ([`eavesdrop_exchanges`], [`relay_per`]) for the staggered arm and
+//! `Scenario::run_blocks` for the collided one — no bespoke runner
+//! machinery.
 
 use crate::report::{Artifact, Series};
 use crate::scenario::{ImdModel, ScenarioBuilder, ScenarioConfig};
@@ -33,7 +35,7 @@ use hb_channel::geometry::Placement;
 use hb_imd::commands::Command;
 
 use super::registry::{EvalCtx, Experiment};
-use super::Effort;
+use super::{eavesdrop_exchanges, relay_per, EavesdropTally, Effort};
 
 /// Per-separation measurements.
 #[derive(Debug, Clone, Copy)]
@@ -53,98 +55,50 @@ pub struct WardRow {
     pub ber_staggered: f64,
 }
 
-/// Packet-loss rate from (replies sent, replies decoded); a relay that
-/// never elicited a reply counts as total loss.
-fn per(sent: u64, ok: u64) -> f64 {
-    if sent == 0 {
-        1.0
-    } else {
-        (1.0 - ok as f64 / sent as f64).max(0.0)
-    }
-}
-
 /// One bed separation, both access patterns; the eavesdropper stands
-/// between the beds, 1.5 m off the bed axis.
+/// between the beds, 1.5 m off the bed axis. Patient A is bed 0, patient
+/// B bed 1 (see [`Scenario::bed`](crate::scenario::Scenario::bed)).
 pub fn one_separation(separation_m: f64, packets: usize, seed: u64) -> WardRow {
+    const BEDS: [usize; 2] = [0, 1];
     let build = |seed: u64| {
         let mut builder = ScenarioBuilder::new(ScenarioConfig::paper(seed));
-        let pat = builder.add_patient((separation_m, 0.0), ImdModel::ConcertoCrt);
+        builder.add_patient((separation_m, 0.0), ImdModel::ConcertoCrt);
         let eve_ant = builder.add_at(Placement::los("eve", separation_m * 0.5, 1.5));
-        (builder.build(), pat, eve_ant)
+        (builder.build(), eve_ant)
     };
 
     // --- Staggered arm: the shields take turns, one exchange window
     //     apart; the eavesdropper listens across the whole session. ---
-    let (mut scenario, pat, eve_ant) = build(seed);
+    let (mut scenario, eve_ant) = build(seed);
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
-    let blocks = scenario.medium.blocks_for_duration(0.060);
-    let mut errors = 0usize;
-    let mut total = 0usize;
+    let mut tally = EavesdropTally::default();
     for _ in 0..packets {
-        for turn in 0..2usize {
-            if turn == 0 {
-                scenario
-                    .shield
-                    .as_mut()
-                    .unwrap()
-                    .queue_command(Command::Interrogate);
-            } else {
-                scenario.patients[pat]
-                    .shield
-                    .queue_command(Command::Interrogate);
-            }
-            scenario.run_blocks(&mut [&mut eve], blocks);
-            for record in scenario.imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
-            for record in scenario.patients[pat].imd.take_tx_log() {
-                let ber = eve.ber_against(record.start_tick, &record.bits);
-                errors += (ber * record.bits.len() as f64).round() as usize;
-                total += record.bits.len();
-            }
-            eve.clear();
+        for bed in BEDS {
+            tally += eavesdrop_exchanges(&mut scenario, &mut eve, bed, 1);
         }
     }
-    let per_a_staggered = per(
-        scenario.imd.stats.responses_sent,
-        scenario.shield.as_ref().unwrap().stats.imd_frames_ok,
-    );
-    let per_b_staggered = per(
-        scenario.patients[pat].imd.stats.responses_sent,
-        scenario.patients[pat].shield.stats.imd_frames_ok,
-    );
-    let ber_staggered = if total == 0 {
-        0.5
-    } else {
-        errors as f64 / total as f64
-    };
+    let per_a_staggered = relay_per(&scenario, 0);
+    let per_b_staggered = relay_per(&scenario, 1);
+    let ber_staggered = tally.ber();
 
     // --- Collided arm: both shields interrogate simultaneously. ---
-    let (mut scenario, pat, _) = build(seed ^ 0xA11D);
+    let (mut scenario, _) = build(seed ^ 0xA11D);
     let blocks = scenario.medium.blocks_for_duration(0.120);
     for _ in 0..packets {
-        scenario
-            .shield
-            .as_mut()
-            .unwrap()
-            .queue_command(Command::Interrogate);
-        scenario.patients[pat]
-            .shield
-            .queue_command(Command::Interrogate);
+        for bed in BEDS {
+            scenario
+                .bed_mut(bed)
+                .1
+                .unwrap()
+                .queue_command(Command::Interrogate);
+        }
         scenario.run_blocks(&mut [], blocks);
     }
-    let per_collided = per(
-        scenario.imd.stats.responses_sent,
-        scenario.shield.as_ref().unwrap().stats.imd_frames_ok,
-    )
-    .max(per(
-        scenario.patients[pat].imd.stats.responses_sent,
-        scenario.patients[pat].shield.stats.imd_frames_ok,
-    ));
-    let cross_jam_events = scenario.shield.as_ref().unwrap().stats.active_jam_events
-        + scenario.patients[pat].shield.stats.active_jam_events;
+    let per_collided = relay_per(&scenario, 0).max(relay_per(&scenario, 1));
+    let cross_jam_events = BEDS
+        .iter()
+        .map(|&bed| scenario.bed(bed).1.unwrap().stats.active_jam_events)
+        .sum();
 
     WardRow {
         separation_m,

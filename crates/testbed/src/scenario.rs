@@ -155,7 +155,8 @@ pub struct Scenario {
     /// The shield, when worn.
     pub shield: Option<Shield>,
     /// Additional shielded patients in the same medium (empty outside
-    /// ward scenarios), in [`ScenarioBuilder::add_patient`] order.
+    /// ward scenarios), in [`ScenarioBuilder::add_patient`] order. Read
+    /// them by bed number through [`Scenario::bed`].
     pub patients: Vec<Patient>,
     /// The layout used.
     pub layout: Fig6Layout,
@@ -423,6 +424,33 @@ impl Scenario {
     pub fn channel(&self) -> usize {
         self.imd.config().channel
     }
+
+    /// Bed `i`'s implant and shield. Bed 0 is the protected patient
+    /// ([`imd`](Self::imd) and [`shield`](Self::shield)); bed `k ≥ 1` is
+    /// [`patients[k − 1]`](Self::patients), in
+    /// [`ScenarioBuilder::add_patient`] order.
+    ///
+    /// Panics if there is no bed `i`.
+    pub fn bed(&self, i: usize) -> (&ImdDevice, Option<&Shield>) {
+        match i {
+            0 => (&self.imd, self.shield.as_ref()),
+            k => {
+                let p = &self.patients[k - 1];
+                (&p.imd, Some(&p.shield))
+            }
+        }
+    }
+
+    /// [`bed`](Self::bed), mutably.
+    pub fn bed_mut(&mut self, i: usize) -> (&mut ImdDevice, Option<&mut Shield>) {
+        match i {
+            0 => (&mut self.imd, self.shield.as_mut()),
+            k => {
+                let p = &mut self.patients[k - 1];
+                (&mut p.imd, Some(&mut p.shield))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -451,6 +479,16 @@ mod tests {
         assert_eq!(s.medium.antenna_count(), 6);
         let p = &s.patients[0];
         assert_ne!(p.imd.config().serial, s.imd.config().serial);
+        // Bed 0 is the primary patient, bed 1 the first added one.
+        let (imd0, shield0) = s.bed(0);
+        assert_eq!(imd0.antenna(), s.imd.antenna());
+        assert_eq!(
+            shield0.unwrap().rx_antenna(),
+            s.shield.as_ref().unwrap().rx_antenna()
+        );
+        let (imd1, shield1) = s.bed(idx + 1);
+        assert_eq!(imd1.antenna(), p.imd.antenna());
+        assert_eq!(shield1.unwrap().rx_antenna(), p.shield.rx_antenna());
         // Patient B's body-contact coupling matches the primary's
         // calibration: IMD-at-own-shield ≈ −85 dBm.
         let g = s.medium.gain(p.imd.antenna(), p.shield.rx_antenna());

@@ -7,8 +7,7 @@
 use heartbeats::adversary::active::{ActiveAttacker, AttackerConfig};
 use heartbeats::channel::sim::Node;
 use heartbeats::imd::commands::Command;
-use heartbeats::shield::shield::ShieldEventKind;
-use heartbeats::testbed::crosstraffic::CrossTrafficNode;
+use heartbeats::testbed::crosstraffic::{jam_intervals, overlaps, CrossTrafficNode};
 use heartbeats::testbed::scenario::{ScenarioBuilder, ScenarioConfig};
 
 fn main() {
@@ -38,23 +37,9 @@ fn main() {
 
     // Reconstruct the shield's jamming intervals from its event log.
     let shield = scenario.shield.as_ref().unwrap();
-    let mut jam_intervals: Vec<(u64, u64)> = Vec::new();
-    let mut open: Option<u64> = None;
-    for e in &shield.events {
-        match e.kind {
-            ShieldEventKind::JamStart { .. } => open = open.or(Some(e.tick)),
-            ShieldEventKind::JamEnd { .. } => {
-                if let Some(s) = open.take() {
-                    jam_intervals.push((s, e.tick));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    let overlaps = |a: (u64, u64), b: (u64, u64)| a.0 < b.1 && b.0 < a.1;
-    let sonde_jammed = jam_intervals.iter().any(|&j| overlaps(j, sonde_interval));
-    let cmd_jammed = jam_intervals.iter().any(|&j| overlaps(j, cmd_interval));
+    let jams = jam_intervals(&shield.events, channel);
+    let sonde_jammed = jams.iter().any(|&j| overlaps(j, sonde_interval));
+    let cmd_jammed = jams.iter().any(|&j| overlaps(j, cmd_interval));
 
     println!(
         "radiosonde packet   {:>7}..{:<7} jammed: {}",

@@ -86,19 +86,17 @@ fn with_shield() {
     let mut eve = Eavesdropper::new(scenario.imd.config().fsk, eve_ant, scenario.channel());
 
     let record = heartbeats::imd::telemetry::PatientRecord::demo();
-    let mut errors = 0usize;
-    let mut total = 0usize;
+    let mut errors = 0u64;
+    let mut total = 0u64;
     for chunk in 0..record.chunk_count() {
         relay_one_exchange(
             &mut scenario,
             &mut [&mut eve],
             Command::ReadPatient { chunk },
         );
-        for rec in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(rec.start_tick, &rec.bits);
-            errors += (ber * rec.bits.len() as f64).round() as usize;
-            total += rec.bits.len();
-        }
+        let (e, b) = eve.score(&scenario.imd.take_tx_log());
+        errors += e;
+        total += b;
         eve.clear();
     }
     println!(

@@ -24,8 +24,8 @@ fn full_secure_relay_with_eavesdropper() {
     let mut programmer = SecureSession::programmer_side(key);
 
     let mut got_status = false;
-    let mut errors = 0usize;
-    let mut total = 0usize;
+    let mut errors = 0u64;
+    let mut total = 0u64;
     for _ in 0..6 {
         let sealed = programmer.seal_frame(&Command::Interrogate.to_payload());
         scenario
@@ -45,11 +45,9 @@ fn full_secure_relay_with_eavesdropper() {
                 got_status = true;
             }
         }
-        for rec in scenario.imd.take_tx_log() {
-            let ber = eve.ber_against(rec.start_tick, &rec.bits);
-            errors += (ber * rec.bits.len() as f64).round() as usize;
-            total += rec.bits.len();
-        }
+        let (e, b) = eve.score(&scenario.imd.take_tx_log());
+        errors += e;
+        total += b;
         eve.clear();
     }
     assert!(got_status, "programmer must receive an authentic Status");
