@@ -24,8 +24,8 @@
 //!
 //! This module is registry-only: it composes [`ScenarioBuilder`] (with
 //! [`ScenarioBuilder::add_patient`]), the shared per-bed read-out
-//! ([`eavesdrop_exchanges`], [`relay_per`]) for the staggered arm and
-//! `Scenario::run_blocks` for the collided one — no bespoke runner
+//! ([`eavesdrop_exchanges`] for the staggered arm, `relay_per` for both)
+//! and `Scenario::run_blocks` for the collided arm — no bespoke runner
 //! machinery.
 
 use crate::report::{Artifact, Series};
